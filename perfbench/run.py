@@ -1,10 +1,10 @@
 """The repository benchmark: one command, three workloads.
 
-    python3 perfbench/run.py --workload oneshot --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload oneshot --seed 1 --seconds 30 --trace 0
 
-Run from the root of a checkout (it imports the program from ``src/``).
-The workloads are defined in ``workloads.py`` and the metrics in
-``manifest.py``.  A run
+Run from the root of a checkout: it imports the program from ``src/`` and
+reads the metric names and units from ``BENCHMARK.json``.  The workloads are
+defined in ``workloads.py``.  A run
 
 1. sets up the workload several times (the median is ``setup_s``; the
    ``import repro`` part is timed in fresh interpreters),
@@ -14,6 +14,12 @@ The workloads are defined in ``workloads.py`` and the metrics in
 4. prints one JSON line: ``correct``, ``attempted``, ``failed`` and the
    metrics -- the end-to-end ones with ``--trace 0``, the per-layer ones
    with ``--trace 1`` (a run that alternates plain and traced jobs).
+
+With ``--trace 0`` every time is in reference-host seconds: a fixed probe
+(``probe.py``) is timed before and after each set-up and job, and the time,
+with the job's fold and query latencies, is scaled by how much slower than
+on the reference host the probe ran.  The raw times and every probe time
+are kept in the run record.  The traced run reports raw times.
 
 Provenance, every sample and (traced) the spans go to ``.perfbench/`` in
 the checkout.  ``--size toy`` shrinks every input for the self-test.
@@ -28,6 +34,10 @@ for _key in [key for key in os.environ if key.startswith("REPRO_")]:
     del os.environ[_key]
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                   MKL_NUM_THREADS="1")
+# Every process of a run on one CPU (children inherit it): the probes then
+# gauge the CPU the timed work ran on, and a serve session, whose client
+# and daemon take turns, is not spread over two CPUs in different states.
+os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 import argparse  # noqa: E402
 import functools  # noqa: E402
@@ -49,7 +59,7 @@ ROOT = HERE.parent
 #: Set-ups timed per run (their median is ``setup_s``).
 SETUP_REPEATS = 3
 #: Fresh-interpreter ``import repro`` timings per run (after one warm-up).
-IMPORT_REPEATS = 5
+IMPORT_REPEATS = 7
 #: Timed jobs per run, at least, however long they take.
 MIN_JOBS = 3
 #: Fold latencies per run, at least: p90 then has ten samples beyond it.
@@ -98,23 +108,6 @@ def _git_sha(root: Path):
         return None
 
 
-def machine_probe_ms() -> float:
-    """Median of five timings of a fixed loop of small numpy calls and
-    Python arithmetic: how fast the host runs right now, so that a run on
-    a slowed host can be told apart from a slower program."""
-    matrix = np.arange(256.0).reshape(32, 8)
-    samples = []
-    for _ in range(5):
-        start = perf_counter()
-        for _ in range(200):
-            (matrix @ matrix.T).sum(axis=1).argmin()
-        total = 0
-        for i in range(20000):
-            total += i % 7
-        samples.append((perf_counter() - start) * 1e3)
-    return statistics.median(samples)
-
-
 def provenance(root: Path) -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -132,7 +125,6 @@ def provenance(root: Path) -> dict:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "loadavg": os.getloadavg(),
         "steal_s": _steal_seconds(),
-        "probe_ms": machine_probe_ms(),
     }
 
 
@@ -145,22 +137,23 @@ def peak_rss_kib() -> int:
     return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
-def import_seconds(root: Path, env: dict, repeats: int) -> list:
-    """``import repro`` in fresh interpreters; the first (it may compile
-    byte code into a fresh checkout) is discarded."""
+def import_seconds(root: Path, env: dict, speed) -> list:
+    """``import repro`` in fresh interpreters, each scaled to the reference
+    host; the first (it may compile byte code into a fresh checkout) is
+    discarded."""
     code = ("import time; t = time.perf_counter(); import repro; "
             "print(time.perf_counter() - t)")
     samples = []
-    for _ in range(repeats + 1):
+    for _ in range(IMPORT_REPEATS + 1):
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                              capture_output=True, text=True, timeout=120,
                              check=True)
-        samples.append(float(out.stdout.strip()))
+        samples.append(float(out.stdout.strip()) * speed.scale())
     return samples[1:]
 
 
-# ------------------------------------------------------------------ probes
-class LatencyProbe:
+# ------------------------------------------------------------------ timers
+class LatencyTimer:
     """Times calls of the workload's fold and query entry points (the
     ``fold_ms`` / ``query_ms`` samples of a run without tracing)."""
 
@@ -194,13 +187,6 @@ class LatencyProbe:
         self._patcher.restore()
 
 
-def timed_job(workload):
-    start = perf_counter()
-    result = workload.job()
-    result.seconds = perf_counter() - start
-    return result
-
-
 def timed_setup(workload) -> float:
     start = perf_counter()
     workload.setup()
@@ -208,32 +194,39 @@ def timed_setup(workload) -> float:
 
 
 # ------------------------------------------------------------ measurement
-def measure(workload, tracing, seconds: float) -> dict:
-    """Plain run: set-ups, warm-up, then timed jobs for ``seconds``."""
-    probe = LatencyProbe(tracing, {"fold": workload.fold_entry,
+def measure(workload, tracing, speed, seconds: float) -> dict:
+    """Plain run: set-ups, warm-up, then timed jobs for ``seconds``.
+
+    Every set-up and job is followed by a probe (``speed.scale()``), and its
+    time, with the job's fold and query latencies, is scaled by it.
+    """
+    timer = LatencyTimer(tracing, {"fold": workload.fold_entry,
                                    "query": workload.query_entry})
     setups, jobs = [], []
     try:
-        if not workload.setup_per_job:
-            setups = [timed_setup(workload) for _ in range(SETUP_REPEATS)]
-        else:
+        if workload.setup_per_job:
             workload.setup()
-        warm_up = workload.job()
+        else:
+            for _ in range(SETUP_REPEATS):
+                setups.append(timed_setup(workload) * speed.scale())
+        warm_up = workload.timed_job()
         workload.teardown()
-        probe.take()
+        timer.take()
+        speed.scale()  # the probe right before the first timed job
         deadline = perf_counter() + seconds
         while (len(jobs) < MIN_JOBS or perf_counter() < deadline
                or sum(len(job.fold_ms) for job in jobs) < MIN_FOLDS):
             if workload.setup_per_job:
-                setups.append(timed_setup(workload))
-            result = timed_job(workload)
+                setups.append(timed_setup(workload) * speed.scale())
+            result = workload.timed_job()
             workload.teardown()
-            samples = probe.take()
+            result.scale = speed.scale()
+            samples = timer.take()
             result.fold_ms, result.query_ms = samples["fold"], samples["query"]
             jobs.append(result)
         rss = peak_rss_kib()
     finally:
-        probe.remove()
+        timer.remove()
     return {"setups": setups, "jobs": jobs, "warm_up": warm_up, "rss_kib": rss}
 
 
@@ -242,7 +235,7 @@ def measure_traced(workload, tracing, seconds: float, spans_path: Path) -> dict:
     tracer = tracing.Tracer(role="client")
     plain, traced, per_job = [], [], []
     workload.setup()
-    warm_up = workload.job()
+    warm_up = workload.timed_job()
     workload.teardown()
     daemon_spans = []
     deadline = perf_counter() + seconds
@@ -252,14 +245,14 @@ def measure_traced(workload, tracing, seconds: float, spans_path: Path) -> dict:
                 workload.trace_daemon = with_trace
                 workload.setup()
             if not with_trace:
-                plain.append(timed_job(workload))
+                plain.append(workload.timed_job())
                 workload.teardown()
                 continue
             tracer.job = len(traced)
             tracing.install(tracer)
             try:
                 start = perf_counter()
-                result = timed_job(workload)
+                result = workload.timed_job()
                 end = perf_counter()
             finally:
                 tracer.uninstall()
@@ -286,6 +279,7 @@ def measure_traced(workload, tracing, seconds: float, spans_path: Path) -> dict:
                 "metrics": metrics,
                 "wall_s": result.seconds,
                 "self_s": tracing.self_time_total(job_spans),
+                "daemon_self_s": tracing.self_time_total(session),
                 "spans": len(job_spans) + len(session),
             })
             traced.append(result)
@@ -306,8 +300,9 @@ def main(argv=None) -> int:
         print(f"perfbench: the program sources are missing ({src}); run from "
               "the root of a full checkout", file=sys.stderr)
         return 2
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     sys.path.insert(0, str(src))
-    import manifest
+    import probe
     import tracing
     import workloads as wk
 
@@ -324,49 +319,51 @@ def main(argv=None) -> int:
 
     try:
         if args.trace:
-            imports = []
             run = measure_traced(workload, tracing, args.seconds,
                                  out_dir / f"spans-{args.workload}-seed{args.seed}.jsonl")
             jobs = run["plain"] + run["traced"]
         else:
-            imports = import_seconds(ROOT, env, IMPORT_REPEATS)
-            run = measure(workload, tracing, args.seconds)
+            speed = probe.HostSpeed(workload.probe_parts)
+            imports = import_seconds(ROOT, env, speed)
+            run = measure(workload, tracing, speed, args.seconds)
             jobs = run["jobs"]
-        problems, cost_ratio = workload.check(run["warm_up"], jobs)
+        problems, cost_ratio = workload.check([run["warm_up"]] + jobs)
     finally:
         workload.teardown()
 
     attempted = sum(job.attempted for job in jobs)
     completed = sum(job.completed for job in jobs)
     if args.trace:
-        layer = tracing.median_metrics([job["metrics"] for job in run["per_job"]])
-        layer["trace.overhead"] = (
+        values = tracing.median_metrics([job["metrics"] for job in run["per_job"]])
+        values["trace.overhead"] = (
             statistics.median(job["wall_s"] for job in run["per_job"])
             / statistics.median(job.seconds for job in run["plain"]) - 1.0)
-        values = layer
-        units = dict(manifest.PER_LAYER)
+        units = {m["name"]: m["unit"] for m in benchmark["per_layer"]}
         record["per_job"] = run["per_job"]
         record["plain_job_s"] = [job.seconds for job in run["plain"]]
     else:
-        folds = [ms for job in jobs for ms in job.fold_ms]
-        queries = [ms for job in jobs for ms in job.query_ms]
+        folds = [ms * job.scale for job in jobs for ms in job.fold_ms]
+        queries = [ms * job.scale for job in jobs for ms in job.query_ms]
         values = {
             "setup_s": statistics.median(imports) + statistics.median(run["setups"]),
-            "job_s": statistics.median(job.seconds for job in jobs),
+            "job_s": statistics.median(job.seconds * job.scale for job in jobs),
             "cost_ratio": cost_ratio,
-            "uplink_bits": float(jobs[0].uplink_bits),
+            "uplink_bits": float(next(
+                (job.uplink_bits for job in jobs if job.completed), 0)),
             "peak_rss_mb": run["rss_kib"] / 1024.0,
             "success_rate": completed / attempted,
             "fold_ms.p50": percentile(folds, 50),
             "fold_ms.p90": percentile(folds, 90),
             "query_ms.p50": percentile(queries, 50),
         }
-        units = {m["name"]: m["unit"] for m in manifest.END_TO_END}
+        units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
         record.update(import_s=imports, setup_s=run["setups"],
                       job_s=[job.seconds for job in jobs],
+                      scale=[job.scale for job in jobs],
+                      probe_s=speed.samples,
                       fold_ms=[job.fold_ms for job in jobs],
                       query_ms=[job.query_ms for job in jobs])
-    correct = not problems and completed == attempted
+    correct = not problems
     record.update(provenance_end=provenance(ROOT), problems=problems,
                   metrics=values)
     (out_dir / f"{stem}.json").write_text(json.dumps(record, indent=1,

@@ -10,7 +10,7 @@ name (``check_matrix``, ``merge_coresets``, ...) are patched in every
 ``repro`` module that holds them.
 
 Spans stay in memory; :func:`job_metrics` turns one job's spans into the
-per-layer figures of ``manifest.PER_LAYER``.  A layer's ``busy_s`` sums self
+per-layer figures named in ``BENCHMARK.json``.  A layer's ``busy_s`` sums self
 time: each span's duration minus the time its child spans cover.
 """
 

@@ -5,6 +5,18 @@ builds fresh program objects for every job (no stage cache, nothing carried
 over), and checks what the program returned.  ``setup`` is the one-off
 program work a user pays before the first job; ``job`` is one timed unit of
 work (a protocol run, a stream, or one client session against a daemon).
+
+Each workload class states its loop type and its rows of the layer ->
+end-to-end map: the layers it runs heavily, with the end-to-end metrics a
+change to them should move there, and the layers it runs lightly or not at
+all, where a change to them must move nothing.  A later change names a
+metric and a workload from these, and the workloads that must not move.
+
+A flat-star stream (the root merging every live bucket at each query) is
+left out: on the shared two-vCPU host this benchmark was tuned on, its run
+medians spread 23-35% between runs, more than a 0.25 bound tolerates.  The
+root merge is still traced on stream-tree and serve
+(``streaming.server.merge.*``).
 """
 
 from __future__ import annotations
@@ -45,16 +57,31 @@ METERED = NetworkCondition(
 
 @dataclass
 class JobResult:
-    """What one job returned, as the benchmark saw it."""
+    """What one job returned, as the benchmark saw it.
 
-    centers: np.ndarray
+    ``attempted`` and ``completed`` count the job's operations: one per
+    in-process job, completed only when it returned finite ``(k, d)``
+    centers; every fold and query of a serve session, completed when acked
+    or answered.
+    """
+
+    centers: Optional[np.ndarray]
     uplink_bits: int
     attempted: int = 1
-    completed: int = 1
+    completed: int = 0
     seconds: float = 0.0
+    #: Reference-host seconds per second measured around this job (see
+    #: ``probe.py``).
+    scale: float = 1.0
     fold_ms: List[float] = field(default_factory=list)
     query_ms: List[float] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
+
+    @classmethod
+    def failed(cls, exc: BaseException) -> "JobResult":
+        """A job that raised: attempted, not completed."""
+        return cls(centers=None, uplink_bits=0,
+                   failures=[f"{type(exc).__name__}: {exc}"])
 
 
 class Workload:
@@ -78,6 +105,9 @@ class Workload:
     #: ``fold_ms`` and ``query_ms`` (timed by the benchmark, tracing off).
     fold_entry: tuple = ()
     query_entry: tuple = ()
+    #: Parts of the host-speed probe (``probe.PARTS``) whose time scales
+    #: this workload's times: the kinds of work its time goes to.
+    probe_parts = ("blas", "interpreter")
 
     def __init__(self, seed: int, size: str, work_dir: Path) -> None:
         self.seed = int(seed)
@@ -94,6 +124,22 @@ class Workload:
     def teardown(self) -> None:
         """Release what one job's set-up started (nothing by default)."""
 
+    def timed_job(self) -> JobResult:
+        """One job, timed; a job that raises counts as failed, not fatal."""
+        start = time.perf_counter()
+        try:
+            result = self.job()
+        except Exception as exc:  # noqa: BLE001 - it fails this job only
+            result = JobResult.failed(exc)
+        result.seconds = time.perf_counter() - start
+        return result
+
+    def valid(self, centers) -> bool:
+        """Finite centers of shape ``(k, d)``."""
+        return (centers is not None
+                and centers.shape == (self.k, self.dimension)
+                and bool(np.isfinite(centers).all()))
+
     def pinned_job_bits(self, first: JobResult) -> int:
         """Uplink bits of one job at the pin seed."""
         if not self.bits_depend_on_seed or self.seed == self.pin_seed:
@@ -102,21 +148,27 @@ class Workload:
         other.setup()
         return int(other.job().uplink_bits)
 
-    def check(self, first: JobResult, jobs: List[JobResult]):
+    def check(self, jobs: List[JobResult]):
         """Check every job's output; returns ``(problems, cost_ratio)``.
 
-        Centers must be finite ``(k, d)`` and identical across jobs (same
-        seed, fresh objects), the cost ratio against a reference computed
-        here must stay under :attr:`cost_ceiling`, and the uplink bits must
-        equal the pin.
+        ``jobs`` starts with the warm-up job.  Centers must be finite
+        ``(k, d)`` and identical across jobs (same seed, fresh objects), the
+        cost ratio against a reference computed here must stay under
+        :attr:`cost_ceiling`, and the uplink bits must equal the pin.  A job
+        that raised is counted as failed, not checked.
         """
         problems = []
-        shape = (self.k, self.dimension)
-        for index, job in enumerate([first] + jobs):
+        answered = [(index, job) for index, job in enumerate(jobs)
+                    if job.centers is not None]
+        for index, job in enumerate(jobs):
             problems.extend(f"job {index}: {failure}" for failure in job.failures)
-            if job.centers.shape != shape or not np.isfinite(job.centers).all():
+        if not answered:
+            return problems + ["no job returned centers"], float("nan")
+        first = answered[0][1]
+        for index, job in answered:
+            if not self.valid(job.centers):
                 problems.append(f"job {index}: centers {job.centers.shape} are "
-                                f"not finite {shape}")
+                                f"not finite {(self.k, self.dimension)}")
                 continue
             if not np.array_equal(job.centers, first.centers):
                 problems.append(f"job {index}: centers differ from the first job's")
@@ -136,7 +188,20 @@ class Workload:
 
 # --------------------------------------------------------------------------
 class OneShot(Workload):
-    """Algorithm 4 (jl-bklw) with the Section 6 rounding quantizer."""
+    """Algorithm 4 (jl-bklw) with the Section 6 rounding quantizer.
+
+    Why: the paper's multi-source headline; its time goes to large-array
+    kernels (JL matmul, local SVDs, bicriteria/D^2 sampling, Lloyd).
+    Loop: closed loop, one caller, jobs back to back.
+    Heavy here: ``dr``, ``cr``, ``kmeans.bicriteria``, ``utils.validation``
+    (full-array scans), ``distributed`` (nodes, edge server) and
+    ``core.engine`` (the 784-dim lift) move ``job_s``; ``quantization``
+    moves ``uplink_bits`` and ``job_s``; ``kmeans.solve`` (one small solve
+    per job) moves ``query_ms.p50`` and ``distributed.network`` (the
+    sources' sends) moves ``fold_ms.*``.
+    Light, predict no change: ``kmeans.solve`` and ``distributed.network``
+    on ``job_s``; ``streaming.*``, ``topology``, ``serve``.
+    """
 
     name = "oneshot"
     k = 2
@@ -169,12 +234,29 @@ class OneShot(Workload):
     def job(self) -> JobResult:
         report = self.pipeline().run(self.shards)
         return JobResult(centers=report.centers,
-                         uplink_bits=int(report.communication_bits))
+                         uplink_bits=int(report.communication_bits),
+                         completed=int(self.valid(report.centers)))
 
 
 # --------------------------------------------------------------------------
 class StreamTree(Workload):
-    """stream-fss over many small sources through an aggregation tree."""
+    """stream-fss over many small sources through an aggregation tree.
+
+    Why: tiny-batch compress at every source, and the aggregators'
+    merge-and-re-reduce emits; the root merges only five aggregator
+    buckets per query.
+    Loop: closed loop, one caller, jobs back to back; a query after every
+    batch step.
+    Heavy here: ``cr`` and ``kmeans.bicriteria`` (32-row batches),
+    ``utils.validation`` (cost per call), ``streaming.source``,
+    ``streaming.tree`` and ``topology`` move ``job_s`` (``topology`` also
+    ``fold_ms.*``); ``distributed.network`` (thousands of sends) moves
+    ``uplink_bits`` and ``job_s``; ``kmeans.solve`` and
+    ``streaming.server`` query move ``query_ms.p50``.
+    Light, predict no change: ``dr``, ``quantization``, ``distributed``
+    (nodes, edge server), ``core.engine`` (lift), ``serve``, and the
+    root merge (``streaming.server.merge.*``).
+    """
 
     name = "stream-tree"
     k = 4
@@ -189,9 +271,14 @@ class StreamTree(Workload):
     solver_restarts = 10
     sources_per_size = {"full": 150, "toy": 40}
     pinned_bits = {"full": 11771200, "toy": 3213440}
-    fold_entry = (("repro.streaming.server", "StreamingServer", "fold"),
-                  ("repro.topology.aggregator", "AggregatorNode", "fold"))
+    #: An in-process fold is microseconds of bookkeeping; the hop latency an
+    #: update waits for is the aggregator's merge-and-re-reduce of its
+    #: children's buckets before it ships one bucket up.
+    fold_entry = (("repro.topology.aggregator", "AggregatorNode", "emit"),)
     query_entry = (("repro.streaming.server", "StreamingServer", "query"),)
+    #: Interpreted Python over 32-row batches: scaled by the matrix part
+    #: too, its runs on a fast host read measurably lower than on a slow one.
+    probe_parts = ("interpreter",)
 
     def setup(self) -> None:
         self.points = self.shards = None
@@ -217,7 +304,8 @@ class StreamTree(Workload):
     def job(self) -> JobResult:
         report = self.engine().run(self.shards)
         return JobResult(centers=report.centers,
-                         uplink_bits=int(report.communication_bits))
+                         uplink_bits=int(report.communication_bits),
+                         completed=int(self.valid(report.centers)))
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +319,21 @@ def child_env(root: Path) -> Dict[str, str]:
 
 
 class Serve(Workload):
-    """``repro serve`` in its own process, 16 stream-fss client sources."""
+    """``repro serve`` in its own process, 16 stream-fss client sources.
+
+    Why: the only workload with real sockets, NDJSON framing and a durable
+    snapshot (``--snapshot-every 1``) in the fold path.
+    Loop: closed loop, one connection: the next request leaves only after
+    the previous ack; a query after every step.  A job is one session
+    against a fresh daemon.
+    Heavy here: ``serve`` (snapshot, protocol, transport) moves
+    ``fold_ms.p50``, ``fold_ms.p90`` and ``query_ms.p50``;
+    ``streaming.server`` and ``kmeans.solve`` move ``query_ms.p50``;
+    ``streaming.source`` and ``cr`` move ``job_s`` (client-side work).
+    Light, predict no change: ``dr``, ``quantization``, ``distributed``,
+    ``topology``, ``core.engine`` (lift); ``streaming.source`` and ``cr``
+    on ``fold_ms.*``.
+    """
 
     name = "serve"
     k = 4
@@ -247,6 +349,7 @@ class Serve(Workload):
     query_entry = (("repro.serve.client", "ServeSource", "query"),)
     n_init = StreamTree.solver_restarts
     max_iterations = 25
+    probe_parts = StreamTree.probe_parts
 
     def __init__(self, seed, size, work_dir) -> None:
         super().__init__(seed, size, work_dir)
@@ -256,6 +359,7 @@ class Serve(Workload):
         self._session = 0
         self.daemon_spans = []
         self.daemon_counters: Dict[str, float] = {}
+        self.last_session = ([], [])
 
     # ------------------------------------------------------------ set-up
     def setup(self) -> None:
@@ -326,8 +430,7 @@ class Serve(Workload):
         steps = self.steps_per_size[self.size]
         updates = []
         answers = []
-        result = JobResult(centers=np.empty((0, self.dimension)), uplink_bits=0,
-                           attempted=0, completed=0)
+        result = JobResult(centers=None, uplink_bits=0, attempted=0)
         for step in range(steps):
             for i, serve_source in enumerate(self.serve_sources):
                 batch = self.shards[i][step * self.batch_size:
@@ -379,8 +482,8 @@ class Serve(Workload):
                     (self._dir / "counters.json").read_text())["counters"]
             shutil.rmtree(self._dir, ignore_errors=True)
 
-    def check(self, first: JobResult, jobs: List[JobResult]):
-        problems, ratio = super().check(first, jobs)
+    def check(self, jobs: List[JobResult]):
+        problems, ratio = super().check(jobs)
         updates, answers = self.last_session
         if not answers:
             return problems + ["the last session answered no query"], ratio
