@@ -177,7 +177,8 @@ def run_once(benchmark, fn: Callable[[], object]):
 # ---------------------------------------------------------------------------
 
 #: Directory the BENCH_<category>.json files are written to; CI uploads it as
-#: an artifact so the perf trajectory is comparable across PRs.
+#: an artifact so the perf trajectory is comparable across PRs.  Under
+#: pytest, conftest.py points it at a temp dir unless the variable is set.
 RESULTS_DIR = os.environ.get(
     "REPRO_BENCH_RESULTS_DIR", os.path.join(os.path.dirname(__file__), "results")
 )

@@ -9,15 +9,32 @@ environment variables ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_RUNS`` /
 
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the printed
 tables; EXPERIMENTS.md records one such run next to the paper's numbers.
+
+A test run writes its ``BENCH_*.json`` rows to a temporary directory, so
+running the suite never rewrites the committed files under
+``benchmarks/results/``; set ``REPRO_BENCH_RESULTS_DIR`` to keep the rows
+(CI sets it to ``benchmarks/results`` and uploads them).
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import bench_helpers
 from bench_helpers import K, MONTE_CARLO_RUNS, SCALE
 from repro.datasets import make_mnist_like, make_neurips_like
 from repro.metrics import ExperimentRunner
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_results_dir(tmp_path_factory):
+    """Where ``record_bench`` writes: a session temp dir unless
+    ``REPRO_BENCH_RESULTS_DIR`` is set."""
+    if "REPRO_BENCH_RESULTS_DIR" not in os.environ:
+        bench_helpers.RESULTS_DIR = str(tmp_path_factory.mktemp("bench-results"))
+    return bench_helpers.RESULTS_DIR
 
 
 def _scaled(value: int) -> int:

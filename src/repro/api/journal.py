@@ -4,25 +4,26 @@
 one *after* (``done`` — carrying the cell's stage-cache accounting — or
 ``failed`` — carrying the captured traceback).  Entries are keyed by
 ``(spec_hash, cell_id, seed)`` and written with the same durable framing as
-the result store (one JSON object per line, flushed and fsynced), so a
-killed sweep leaves a journal that says exactly which cells were in flight.
+the result store (:mod:`repro.utils.durable`: one JSON object per line,
+flushed and fsynced), so a killed sweep leaves a journal that says exactly
+which cells were in flight.
 
 The journal is *advisory*: ``repro sweep --resume`` decides what to skip
 from the result store (the authoritative record of committed cells) and
 uses the journal only for diagnostics — failed-cell tracebacks, in-flight
 markers, cache accounting.  A torn trailing line is therefore simply
-ignored on read rather than quarantined.
+ignored on read, and the next append cuts it away rather than
+quarantining it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.utils import faultpoints
+from repro.utils import durable, faultpoints
 
 #: Journal format version, bumped on incompatible layout changes.
 JOURNAL_VERSION = 1
@@ -93,12 +94,8 @@ class SweepJournal:
         entry = {"version": JOURNAL_VERSION, **entry}
         line = json.dumps(entry, sort_keys=True) + "\n"
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+            durable.append_line(self.path, line.encode("utf-8"),
+                                fsync=self.fsync)
 
     # ------------------------------------------------------------- reading
     def entries(self) -> List[Dict[str, Any]]:

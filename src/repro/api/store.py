@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.evaluation import PipelineEvaluation
 from repro.metrics.experiment import AlgorithmSummary
-from repro.utils import faultpoints
+from repro.utils import durable, faultpoints
 
 #: Record format version, bumped on incompatible layout changes.
 STORE_VERSION = 1
@@ -199,6 +199,15 @@ class RunRecord:
         return cls(**payload)
 
 
+def _is_run_record(line: bytes) -> bool:
+    """Whether a torn trailing line already holds a complete record."""
+    try:
+        RunRecord.from_dict(json.loads(line.decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError, ValueError, TypeError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class StoreCheck:
     """What :meth:`ResultStore.verify` found (non-mutating diagnosis)."""
@@ -244,26 +253,13 @@ class ResultStore:
     def append(self, record: RunRecord) -> RunRecord:
         """Durably append one record (creates the file and parents on first
         write); returns only after the line is flushed and fsynced."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
         faultpoints.reach("store.append")
-        self._heal_tail()
-        with self.path.open("a", encoding="utf-8") as handle:
-            if faultpoints.is_armed("store.append.torn"):
-                # Crash-injection path: persist a genuine torn line — half
-                # the record, flushed and fsynced, no newline — exactly the
-                # bytes a kill mid-append leaves behind.
-                split = max(1, len(line) // 2)
-                handle.write(line[:split])
-                handle.flush()
-                os.fsync(handle.fileno())
-                faultpoints.reach("store.append.torn")
-                handle.write(line[split:])
-            else:
-                handle.write(line)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        durable.append_line(
+            self.path, line.encode("utf-8"), is_record=_is_run_record,
+            quarantine=self.corrupt_path, fsync=self.fsync,
+            torn_faultpoint="store.append.torn",
+        )
         return record
 
     def extend(self, records: Sequence[RunRecord]) -> None:
@@ -370,7 +366,8 @@ class ResultStore:
             except (json.JSONDecodeError, ValueError, TypeError):
                 quarantined.append(line)
         if quarantined:
-            self._quarantine(quarantined)
+            durable.quarantine_lines(self.corrupt_path, quarantined,
+                                     fsync=self.fsync)
             tmp = self.path.with_name(self.path.name + ".repair-tmp")
             with tmp.open("w", encoding="utf-8") as handle:
                 for line in kept:
@@ -381,52 +378,10 @@ class ResultStore:
         return (len(kept), len(quarantined))
 
     def _heal_tail(self) -> None:
-        """Make the file end on a record boundary.
-
-        A trailing line without a newline is a torn append: if its bytes
-        already parse as a complete record the missing newline is added
-        (the crash hit between the payload write and the frame end);
-        otherwise the partial bytes are moved to ``<store>.corrupt`` and
-        the file is truncated back to the previous record boundary.
-        """
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return
-        if size == 0:
-            return
-        with self.path.open("r+b") as handle:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            body = handle.read()
-            boundary = body.rfind(b"\n") + 1  # 0 when the whole file is torn
-            tail = body[boundary:]
-            try:
-                RunRecord.from_dict(json.loads(tail.decode("utf-8")))
-                healable = True
-            except (UnicodeDecodeError, json.JSONDecodeError, ValueError,
-                    TypeError):
-                healable = False
-            if healable:
-                handle.seek(0, os.SEEK_END)
-                handle.write(b"\n")
-            else:
-                handle.truncate(boundary)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        if not healable:
-            self._quarantine([tail.decode("utf-8", errors="replace")])
-
-    def _quarantine(self, lines: Sequence[str]) -> None:
-        with self.corrupt_path.open("a", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        """Make the file end on a record boundary (:func:`repro.utils.durable
+        .heal_tail`; torn garbage goes to ``<store>.corrupt``)."""
+        durable.heal_tail(self.path, _is_run_record,
+                          quarantine=self.corrupt_path, fsync=self.fsync)
 
     def __len__(self) -> int:
         return len(self.load())

@@ -814,15 +814,20 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="master seed; each tenant's solver stream "
                              "derives from (seed, tenant)")
     parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="persist daemon state here (atomically, after "
-                             "registrations, every --snapshot-every applied "
-                             "folds, and on graceful shutdown)")
+                        help="persist daemon state here: every registration, "
+                             "applied fold and query is appended to the fold "
+                             "log PATH.log before its ack, and the log is "
+                             "compacted into this snapshot (atomically) at "
+                             "start, when it grows as large as the snapshot, "
+                             "and on graceful shutdown")
     parser.add_argument("--snapshot-every", type=int, default=1, metavar="N",
-                        help="applied folds between snapshot writes "
-                             "(default 1: every acked fold is durable)")
+                        help="fsync the fold log at every Nth applied fold "
+                             "(default 1: every acked fold is durable; "
+                             "registrations and queries are always fsynced)")
     parser.add_argument("--restore", default=None, metavar="PATH",
-                        help="restore tenant state from a snapshot file "
-                             "before serving")
+                        help="before serving, restore tenant state from the "
+                             "snapshot at PATH and replay its fold log "
+                             "PATH.log")
     return parser
 
 
@@ -851,7 +856,7 @@ def run_serve(args: argparse.Namespace) -> Dict[str, float]:
             raise SystemExit(f"cannot read snapshot {args.restore}: {exc}") from None
         except (ValueError, KeyError, TypeError) as exc:
             raise SystemExit(f"invalid snapshot {args.restore}: {exc}") from None
-        restored = len(state.get("tenants", {}))
+        restored = len(daemon.tenant_names)
 
     def ready(host: str, port: int) -> None:
         print(f"repro serve: listening on {host}:{port} "
@@ -861,7 +866,7 @@ def run_serve(args: argparse.Namespace) -> Dict[str, float]:
 
     asyncio.run(daemon.run(ready=ready, install_signal_handlers=True))
     print(f"repro serve: stopped ({daemon.snapshot_writes} snapshot write(s))")
-    return {"tenants": float(len(daemon.state()['tenants'])),
+    return {"tenants": float(len(daemon.tenant_names)),
             "snapshot_writes": float(daemon.snapshot_writes)}
 
 

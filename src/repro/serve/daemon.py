@@ -10,18 +10,29 @@ safe because duplicate/stale updates ack as ``duplicate`` without touching
 state, gaps are typed rejections the client replays from, and unregistered
 sources are refused.
 
-Durability: when a snapshot path is configured, the daemon persists its
-complete state (every tenant's buckets, watermarks, and rng position)
-atomically after registrations and after every ``snapshot_every``-th applied
-fold, and always on graceful shutdown.  A daemon restarted with
-``--restore`` therefore answers its next query bit-identically to one that
-never died: acked folds are in the snapshot, unacked folds are replayed by
-the clients and either apply once or ack as duplicates.
+Durability: when a snapshot path is configured, every request that changes
+state is appended to the fold log ``<snapshot>.log`` before it is acked:
+an applied fold as its request frame verbatim, a registration or a query as
+a small record (a query's carries the solver rng position it left behind).
+Each record carries a log sequence number (LSN).  Registrations and queries
+are fsynced before their ack, and so is every ``snapshot_every``-th applied
+fold (1, the default: every acked fold is durable).  The full snapshot —
+every tenant's buckets, watermarks and rng position, plus the LSN it
+covers — is written when the daemon starts, whenever the log has grown as
+large as the last snapshot, on the ``snapshot`` op and at graceful
+shutdown, and the log is then truncated (compaction).  Restore is the
+snapshot plus a replay of the log records past its LSN through the live
+decode-and-fold path, so a daemon restarted with ``--restore`` answers its
+next query bit-identically to one that never died: acked folds are in the
+snapshot or the log, unacked folds are replayed by the clients and either
+apply once or ack as duplicates.
 
-Scale note: this is a single-event-loop daemon whose snapshot write happens
-inline in the fold path — the right shape for integration-testing the
-protocol and for modest deployments; sharding tenants across processes is
-the ROADMAP's next step.
+Scale note: this is a single-event-loop daemon with durability inline in
+the fold path.  A fold writes its own frame (one append + fsync), not the
+daemon's state: compaction waits until the log is as large as the last
+snapshot, so bytes written stay within about 3x the bytes received however
+large the state grows.  Sharding tenants across processes is the ROADMAP's
+next step.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import os
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.serve import protocol
 from repro.streaming.server import (
@@ -41,7 +52,7 @@ from repro.streaming.server import (
     FoldResult,
     StreamingServer,
 )
-from repro.utils import faultpoints
+from repro.utils import durable, faultpoints
 from repro.utils.clock import perf_counter
 from repro.utils.random import SeedLike, generator_for_name
 from repro.utils.validation import check_positive_int
@@ -99,11 +110,13 @@ class ServeDaemon:
         Bind address; port 0 picks an ephemeral port (read it from
         :attr:`bound_port` after :meth:`run` signals readiness).
     snapshot_path:
-        Where to persist daemon state; ``None`` disables durability.
+        Where to persist daemon state (the fold log lives beside it at
+        ``<snapshot_path>.log``); ``None`` disables durability.
     snapshot_every:
-        Persist after every Nth applied fold (1 = every applied fold is
-        durable before it is acked — the strongest guarantee and the
-        default).  Registrations and graceful shutdown always persist.
+        Fsync the fold log at every Nth applied fold (1 = every applied
+        fold is durable before it is acked — the strongest guarantee and
+        the default).  Every fold is written to the log before its ack;
+        registrations and queries are always fsynced.
     """
 
     def __init__(
@@ -128,9 +141,16 @@ class ServeDaemon:
         self.snapshot_every = check_positive_int(snapshot_every, "snapshot_every")
         self.bound_port: Optional[int] = None
         self.snapshot_writes = 0
+        self.bytes_written = 0
         self.connections = 0
         self._tenants: Dict[str, _Tenant] = {}
-        self._applied_since_snapshot = 0
+        self._lsn = 0  # last LSN logged (or replayed)
+        self._snapshot_lsn = 0
+        self._snapshot_bytes = 0
+        self._snapshot_at: Optional[float] = None
+        self._log_bytes = 0
+        self._unsynced_folds = 0
+        self._restored = False
         self._started = perf_counter()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -152,10 +172,22 @@ class ServeDaemon:
             self._tenants[name] = state
         return state
 
+    @property
+    def tenant_names(self) -> Tuple[str, ...]:
+        """Every tenant's name, sorted."""
+        return tuple(sorted(self._tenants))
+
+    @property
+    def log_path(self) -> Optional[Path]:
+        """The fold log beside the snapshot, or ``None`` without one."""
+        return None if self.snapshot_path is None else log_path_for(self.snapshot_path)
+
     def state(self) -> Dict[str, Any]:
-        """JSON-able snapshot of every tenant's complete server state."""
+        """JSON-able snapshot of every tenant's complete server state and
+        the LSN of the last fold-log record it covers."""
         return {
             "version": SNAPSHOT_VERSION,
+            "lsn": self._lsn,
             "tenants": {
                 name: self._tenants[name].server.snapshot()
                 for name in sorted(self._tenants)
@@ -163,7 +195,9 @@ class ServeDaemon:
         }
 
     def restore_state(self, state: Dict[str, Any]) -> "ServeDaemon":
-        """Rebuild every tenant from a :meth:`state` snapshot; returns self."""
+        """Rebuild every tenant from a :meth:`state` snapshot, then replay
+        the fold-log records :func:`load_snapshot` read past its LSN;
+        returns self.  Replayed folds are not counted as new folds."""
         version = int(state.get("version", 0))
         if version != SNAPSHOT_VERSION:
             raise ValueError(
@@ -174,28 +208,109 @@ class ServeDaemon:
             self._tenants[str(name)] = _Tenant(
                 server=StreamingServer.restore(snapshot)
             )
+        self._lsn = int(state.get("lsn", 0))
+        for record in state.get("log", ()):
+            try:
+                self._replay(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"fold log record {record['lsn']}: {exc}"
+                ) from None
+        self._restored = True
         return self
 
+    def _replay(self, record: Dict[str, Any]) -> None:
+        """Re-apply one fold-log record through the live fold path."""
+        request = record["request"]
+        server = self.tenant(self._tenant_name(request)).server
+        op = request.get("op")
+        if op == "register":
+            server.register(request["source_id"])
+        elif op == "fold":
+            server.fold(protocol.decode_update(request.get("update")))
+        elif op == "query":
+            server.rng_state = record["rng"]
+        else:
+            raise ValueError(f"unknown op {op!r}")
+        self._lsn = record["lsn"]
+
     def write_snapshot(self) -> Optional[Path]:
-        """Atomically persist :meth:`state`; no-op without a snapshot path.
+        """Compact: atomically persist :meth:`state`, then truncate the fold
+        log it now covers; no-op without a snapshot path.
 
         Write-to-temp, flush+fsync, rename: a crash mid-write leaves the
-        previous snapshot intact (plus at worst a stale temp file).
+        previous snapshot and the whole log intact (plus at worst a stale
+        temp file).  A crash between the rename and the truncation leaves
+        log records the snapshot already covers; restore skips them by LSN.
         """
         if self.snapshot_path is None:
             return None
         path = self.snapshot_path
         path.parent.mkdir(parents=True, exist_ok=True)
+        payload = json.dumps(
+            self.state(), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
         tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(self.state(), handle, sort_keys=True)
+        with tmp.open("wb") as handle:
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         faultpoints.reach("serve.snapshot")
         os.replace(tmp, path)
+        durable.fsync_directory(path.parent)
+        faultpoints.reach("serve.compact")
+        self.log_path.open("wb").close()  # truncate
         self.snapshot_writes += 1
-        self._applied_since_snapshot = 0
+        self.bytes_written += len(payload)
+        self._snapshot_lsn = self._lsn
+        self._snapshot_bytes = len(payload)
+        self._snapshot_at = perf_counter()
+        self._log_bytes = 0
+        self._unsynced_folds = 0
         return path
+
+    def _log(
+        self, frame: bytes, *, fold: bool = False, rng: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """Append one record holding ``frame`` (a JSON request) and, for a
+        query, the solver ``rng`` position to the fold log, fsynced unless it
+        is a fold short of the ``snapshot_every`` cadence; compact once the
+        log has grown as large as the last snapshot.  No-op without a
+        snapshot path."""
+        if self.snapshot_path is None:
+            return
+        # The LSN is consumed even if the append fails, so a lost record
+        # shows up as a gap at restore instead of being silently reused.
+        self._lsn += 1
+        extra = b"" if rng is None else b',"rng":' + json.dumps(
+            rng, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        line = b'{"lsn":%d,"request":%s%s}\n' % (self._lsn, frame.strip(), extra)
+        if fold:
+            self._unsynced_folds += 1
+        sync = not fold or self._unsynced_folds >= self.snapshot_every
+        durable.append_line(self.log_path, line, fsync=sync)
+        if sync:
+            self._unsynced_folds = 0
+        self._log_bytes += len(line)
+        self.bytes_written += len(line)
+        if self._log_bytes >= self._snapshot_bytes:
+            self.write_snapshot()
+
+    def durability(self) -> Dict[str, Any]:
+        """Where the durable state stands: the snapshot, the fold log past
+        it, and the bytes written so far (reported by the ``metrics`` op)."""
+        return {
+            "snapshot_path": None if self.snapshot_path is None
+            else str(self.snapshot_path),
+            "snapshot_bytes": self._snapshot_bytes,
+            "snapshot_age_seconds": None if self._snapshot_at is None
+            else perf_counter() - self._snapshot_at,
+            "snapshot_lsn": self._snapshot_lsn,
+            "lsn": self._lsn,
+            "log_records": self._lsn - self._snapshot_lsn,
+            "log_bytes": self._log_bytes,
+            "bytes_written": self.bytes_written,
+        }
 
     # ------------------------------------------------------------ requests
     async def _handle_connection(
@@ -222,7 +337,7 @@ class ServeDaemon:
                 except protocol.ProtocolError as exc:
                     response, stop = protocol.encode_exception(exc), False
                 else:
-                    response, stop = await self._dispatch(request)
+                    response, stop = await self._dispatch(request, line)
                 writer.write(protocol.dump_frame(response))
                 await writer.drain()
                 if stop:
@@ -237,14 +352,17 @@ class ServeDaemon:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _dispatch(self, request: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
-        """Route one request; returns ``(response, stop_after_reply)``."""
+    async def _dispatch(
+        self, request: Dict[str, Any], frame: bytes
+    ) -> Tuple[Dict[str, Any], bool]:
+        """Route one request (``frame`` is its line as received); returns
+        ``(response, stop_after_reply)``."""
         op = request.get("op")
         try:
             if op == "register":
                 return await self._op_register(request), False
             if op == "fold":
-                return await self._op_fold(request), False
+                return await self._op_fold(request, frame), False
             if op == "query":
                 return await self._op_query(request), False
             if op == "healthz":
@@ -279,12 +397,13 @@ class ServeDaemon:
             watermark = tenant.server.register(source_id)
             # Registration is durable state: a restored daemon must keep
             # refusing unregistered sources and admitting registered ones.
-            self.write_snapshot()
+            self._log(protocol.dump_frame(
+                {"op": "register", "tenant": name, "source_id": source_id}))
         return protocol.ok_response(
             tenant=name, source_id=source_id, watermark=watermark
         )
 
-    async def _op_fold(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_fold(self, request: Dict[str, Any], frame: bytes) -> Dict[str, Any]:
         update = protocol.decode_update(request.get("update"))
         name = self._tenant_name(request)
         tenant = self.tenant(name)
@@ -297,12 +416,12 @@ class ServeDaemon:
                 raise
             if result is FoldResult.APPLIED:
                 tenant.folds += 1
-                self._applied_since_snapshot += 1
-                if self._applied_since_snapshot >= self.snapshot_every:
-                    self.write_snapshot()
+                # The validated frame goes to the log verbatim: replay
+                # decodes the same bytes, so the refold is bit-identical.
+                self._log(frame, fold=True)
                 # The at-least-once trap: die here and the client retries an
-                # update the snapshot already holds — the restored daemon
-                # must ack it as a duplicate, not fold it twice.
+                # update the log already holds — the restored daemon must
+                # ack it as a duplicate, not fold it twice.
                 faultpoints.reach("serve.fold.ack")
             else:
                 tenant.duplicates += 1
@@ -332,9 +451,10 @@ class ServeDaemon:
                 updates_folded=tenant.server.updates_folded,
                 server_seconds=seconds,
             )
-            # Queries advance the per-tenant solver rng: persist so a
-            # restored daemon continues the same seed stream.
-            self.write_snapshot()
+            # Queries advance the per-tenant solver rng: log its new
+            # position so a restored daemon continues the same seed stream.
+            self._log(protocol.dump_frame({"op": "query", "tenant": name}),
+                      rng=tenant.server.rng_state)
         return response
 
     def _op_healthz(self) -> Dict[str, Any]:
@@ -347,13 +467,12 @@ class ServeDaemon:
         )
 
     def _op_metrics(self) -> Dict[str, Any]:
-        tenants = {
-            name: self._tenants[name].metrics() for name in sorted(self._tenants)
-        }
+        tenants = {name: self._tenants[name].metrics() for name in self.tenant_names}
         return protocol.ok_response(
             uptime_seconds=perf_counter() - self._started,
             connections=self.connections,
             snapshot_writes=self.snapshot_writes,
+            durability=self.durability(),
             totals={
                 "folds": sum(t["folds"] for t in tenants.values()),
                 "duplicates": sum(t["duplicates"] for t in tenants.values()),
@@ -379,8 +498,14 @@ class ServeDaemon:
         ready: Optional[Callable[[str, int], None]] = None,
         install_signal_handlers: bool = False,
     ) -> None:
-        """Serve until :meth:`request_stop` (or SIGTERM/SIGINT when signal
-        handlers are installed), then persist a final snapshot."""
+        """Compact once, serve until :meth:`request_stop` (or SIGTERM/SIGINT
+        when signal handlers are installed), then persist a final snapshot."""
+        if self.snapshot_path is not None:
+            if not self._restored:
+                # A fresh daemon starts from an empty snapshot and log; an
+                # earlier run's log must never be replayed onto it.
+                self.log_path.unlink(missing_ok=True)
+            self.write_snapshot()
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         installed = []
@@ -418,10 +543,55 @@ class ServeDaemon:
                 pass  # the loop already shut down: nothing left to stop
 
 
+def log_path_for(snapshot_path: Path) -> Path:
+    """Where the fold log of the snapshot at ``snapshot_path`` lives."""
+    return snapshot_path.with_name(snapshot_path.name + ".log")
+
+
 def load_snapshot(path: str) -> Dict[str, Any]:
-    """Read a daemon snapshot file written by :meth:`ServeDaemon.write_snapshot`."""
+    """Read a daemon's durable state: the snapshot written by
+    :meth:`ServeDaemon.write_snapshot`, with the fold-log records past its
+    LSN under ``"log"`` for :meth:`ServeDaemon.restore_state` to replay.
+
+    A torn last log line (a crash mid-append, so never acked) is ignored;
+    a corrupt complete line or a gap in the LSNs raises ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        state = json.load(handle)
+    if not isinstance(state, dict):
+        raise ValueError("a snapshot must be a JSON object")
+    state["log"] = _read_log(log_path_for(Path(path)), after=int(state.get("lsn", 0)))
+    return state
 
 
-__all__ = ["SNAPSHOT_VERSION", "ServeDaemon", "load_snapshot"]
+def _read_log(path: Path, after: int) -> List[Dict[str, Any]]:
+    """The complete records of the fold log at ``path`` whose LSN is above
+    ``after``, checked to be consecutive (empty for a missing log)."""
+    try:
+        body = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    lines = body.split(b"\n")[:-1]  # the last piece is torn (or empty)
+    records: List[Dict[str, Any]] = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line.decode("utf-8"))
+            lsn = record["lsn"]
+            valid = isinstance(lsn, int) and isinstance(record["request"], dict)
+        except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+            valid = False
+        if not valid:
+            raise ValueError(f"{path}:{number}: corrupt fold log record")
+        if lsn <= after:
+            continue  # already in the snapshot (a crash before truncation)
+        expected = after + 1 + len(records)
+        if lsn != expected:
+            raise ValueError(
+                f"{path}:{number}: fold log record has LSN {lsn}, expected "
+                f"{expected}"
+            )
+        records.append(record)
+    return records
+
+
+__all__ = ["SNAPSHOT_VERSION", "ServeDaemon", "load_snapshot", "log_path_for"]

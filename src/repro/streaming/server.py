@@ -221,6 +221,17 @@ class StreamingServer:
         return result, coreset, seconds
 
     # ------------------------------------------------------- snapshotting
+    @property
+    def rng_state(self) -> dict:
+        """JSON-able position of the per-query seed generator.  Assigning a
+        captured position moves the generator there, which is how the serve
+        daemon's fold log replays a query without re-solving it."""
+        return generator_state(self._rng)
+
+    @rng_state.setter
+    def rng_state(self, state: dict) -> None:
+        self._rng = restore_generator(state)
+
     def snapshot(self) -> dict:
         """JSON-able snapshot of the server's complete state.
 
@@ -234,7 +245,7 @@ class StreamingServer:
             "k": self.k,
             "n_init": self.n_init,
             "max_iterations": self.max_iterations,
-            "rng": generator_state(self._rng),
+            "rng": self.rng_state,
             "compute_seconds": self.compute_seconds,
             "updates_folded": self.updates_folded,
             # The delivery watermarks ride in the snapshot so a restored
@@ -264,7 +275,7 @@ class StreamingServer:
             n_init=int(snapshot.get("n_init", 5)),
             max_iterations=int(snapshot.get("max_iterations", 100)),
         )
-        server._rng = restore_generator(snapshot["rng"])
+        server.rng_state = snapshot["rng"]
         server._buckets = {
             (str(b["source_id"]), int(b["bucket_id"])):
                 Coreset.from_state(b["coreset"])

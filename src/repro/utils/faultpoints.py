@@ -75,14 +75,18 @@ FAULTPOINTS: Dict[str, str] = {
         "StreamingServer.fold, before the update is applied"
     ),
     "serve.fold.ack": (
-        "ServeDaemon fold handler, after the update is applied and the "
-        "snapshot persisted but before the ack line is written — the "
-        "at-least-once retry trap (the client must resend, the server must "
-        "answer DUPLICATE)"
+        "ServeDaemon fold handler, after the update is applied and logged "
+        "but before the ack line is written — the at-least-once retry trap "
+        "(the client must resend, the server must answer DUPLICATE)"
     ),
     "serve.snapshot": (
         "ServeDaemon.write_snapshot, after the temp file is written but "
         "before the atomic rename — leaves a stale .tmp snapshot behind"
+    ),
+    "serve.compact": (
+        "ServeDaemon.write_snapshot, after the snapshot rename but before "
+        "the fold log is truncated — leaves log records the snapshot "
+        "already covers (restore must skip them by LSN)"
     ),
 }
 

@@ -2,11 +2,14 @@
 ephemeral port driven by the blocking ``ServeClient`` from the test thread.
 Covers the protocol surface (register/fold/query/healthz/metrics/snapshot/
 shutdown), the at-least-once ack semantics over a real socket, snapshot/
-restore through the daemon wire format, and both CLI entry points."""
+restore through the daemon wire format, the fold log (torn tails, corrupt
+records, the durability probe, bytes written linear in bytes received), and
+both CLI entry points."""
 
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import time
 
@@ -15,8 +18,9 @@ import pytest
 
 from repro import cli
 from repro.distributed.network import SimulatedNetwork
+from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError, ServeSource
-from repro.serve.daemon import ServeDaemon, load_snapshot
+from repro.serve.daemon import ServeDaemon, load_snapshot, log_path_for
 from repro.stages.base import StageContext
 from repro.stages.cr import UniformStage
 from repro.streaming.source import StreamingSource
@@ -225,6 +229,149 @@ class TestDurability:
             harness._thread.join(timeout=10)
             assert not harness._thread.is_alive()
         assert snap.exists()
+
+
+def fold_frame(update) -> bytes:
+    """The request frame ``ServeSource.deliver`` sends for ``update``."""
+    return protocol.dump_frame({
+        "op": "fold", "tenant": "default",
+        "update": protocol.encode_update(update),
+    })
+
+
+def copy_crash_image(snapshot, dest):
+    """Copy a live daemon's snapshot and fold log: what a kill leaves."""
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    shutil.copy(snapshot, dest)
+    shutil.copy(log_path_for(snapshot), log_path_for(dest))
+
+
+def fold_until_logged(serve_source, client, data) -> int:
+    """Fold batches until the log holds records past the snapshot; returns
+    the next batch index."""
+    for index in range(8):
+        serve_source.ingest(data.random((40, 5)), index)
+        if client.metrics()["durability"]["log_records"]:
+            return index + 1
+    raise AssertionError("every fold was compacted into the snapshot")
+
+
+class TestFoldLog:
+    def test_torn_log_tail_restores_the_acked_prefix(self, tmp_path):
+        snap = tmp_path / "live" / "serve.json"
+        image = tmp_path / "image" / "serve.json"
+        with DaemonHarness(seed=17, snapshot_path=snap) as harness:
+            with harness.client() as client:
+                serve_source = ServeSource(make_source(), client)
+                serve_source.register()
+                data = as_generator(50)
+                index = fold_until_logged(serve_source, client, data)
+                lsn = client.metrics()["durability"]["lsn"]
+                copy_crash_image(snap, image)
+                # The next fold dies mid-append: half its record reaches
+                # the log, no newline, no ack.
+                update = serve_source.source.ingest(data.random((40, 5)), index)
+                record = b'{"lsn":%d,"request":%s}\n' % (
+                    lsn + 1, fold_frame(update).strip())
+                with log_path_for(image).open("ab") as handle:
+                    handle.write(record[:len(record) // 2])
+                serve_source.deliver(update)
+                uncrashed = serve_source.query()
+
+        restarted = DaemonHarness(seed=17, snapshot_path=image)
+        restarted.daemon.restore_state(load_snapshot(image))
+        with restarted as harness, harness.client() as client:
+            replayed = ServeSource(make_source(), client)
+            assert replayed.register() == index - 1  # the acked prefix
+            assert replayed.deliver(update)["result"] == "applied"  # retry
+            answer = replayed.query()
+            assert client.metrics()["totals"]["folds"] == 1
+        np.testing.assert_array_equal(
+            np.asarray(answer["centers"]), np.asarray(uncrashed["centers"])
+        )
+        assert answer["cost"] == uncrashed["cost"]
+
+    def test_corrupt_log_record_fails_restore(self, tmp_path, monkeypatch):
+        snap = tmp_path / "live" / "serve.json"
+        image = tmp_path / "image" / "serve.json"
+        with DaemonHarness(seed=17, snapshot_path=snap) as harness:
+            with harness.client() as client:
+                serve_source = ServeSource(make_source(), client)
+                serve_source.register()
+                fold_until_logged(serve_source, client, as_generator(50))
+                copy_crash_image(snap, image)
+        log = log_path_for(image)
+        body = log.read_bytes()
+        record = body.split(b"\n")[-2]
+        # A complete line (newline and all) whose bytes are not a record.
+        log.write_bytes(body[:-len(record) - 1] + record[:len(record) // 2] + b"\n")
+
+        async def serve_nothing(self, **kwargs):
+            """A wrongly accepted restore returns instead of serving."""
+
+        monkeypatch.setattr(ServeDaemon, "run", serve_nothing)
+        with pytest.raises(SystemExit, match="invalid snapshot") as excinfo:
+            cli.main(["serve", "--port", "0", "--restore", str(image)])
+        message = str(excinfo.value)
+        assert "corrupt fold log record" in message and "\n" not in message
+
+    def test_metrics_report_durability(self, tmp_path):
+        snap = tmp_path / "serve.json"
+        fields = {"snapshot_path", "snapshot_bytes", "snapshot_age_seconds",
+                  "snapshot_lsn", "lsn", "log_records", "log_bytes",
+                  "bytes_written"}
+        with DaemonHarness(seed=17) as harness, harness.client() as client:
+            assert client.metrics()["durability"] == {
+                "snapshot_path": None, "snapshot_bytes": 0,
+                "snapshot_age_seconds": None, "snapshot_lsn": 0, "lsn": 0,
+                "log_records": 0, "log_bytes": 0, "bytes_written": 0,
+            }
+        with DaemonHarness(seed=17, snapshot_path=snap) as harness:
+            with harness.client() as client:
+                started = client.metrics()
+                serve_source = ServeSource(make_source(), client)
+                serve_source.register()
+                fold_until_logged(serve_source, client, as_generator(50))
+                metrics = client.metrics()
+                log_size = log_path_for(snap).stat().st_size
+                snapshot_size = snap.stat().st_size
+        assert started["snapshot_writes"] == 1  # compacted once on start
+        assert started["durability"]["lsn"] == 0
+        durability = metrics["durability"]
+        assert set(durability) == fields
+        assert durability["snapshot_path"] == str(snap)
+        assert durability["lsn"] == 1 + metrics["totals"]["folds"]
+        assert durability["log_records"] == (
+            durability["lsn"] - durability["snapshot_lsn"]) > 0
+        assert durability["log_bytes"] == log_size > 0
+        assert durability["snapshot_bytes"] == snapshot_size
+        assert durability["snapshot_age_seconds"] >= 0.0
+        assert durability["bytes_written"] >= (
+            durability["snapshot_bytes"] + durability["log_bytes"])
+
+
+class TestComplexity:
+    def test_bytes_written_stay_linear_in_fold_bytes(self, tmp_path):
+        """No path may be quadratic: a daemon that rewrote its whole state
+        on every fold would write O(B^2) bytes to hold B live buckets."""
+        snap = tmp_path / "serve.json"
+        data = as_generator(50)
+        fold_bytes = 0
+        with DaemonHarness(seed=17, snapshot_path=snap) as harness:
+            with harness.client() as client:
+                for index in range(256):
+                    serve_source = ServeSource(
+                        make_source(f"source-{index}", seed=index), client)
+                    serve_source.register()
+                    update = serve_source.source.ingest(data.random((40, 5)), 0)
+                    fold_bytes += len(fold_frame(update))
+                    serve_source.deliver(update)
+                    if index + 1 < 32:
+                        continue
+                    metrics = client.metrics()
+                    assert metrics["totals"]["live_buckets"] == index + 1
+                    written = metrics["durability"]["bytes_written"]
+                    assert written <= 4 * fold_bytes, (index + 1, written, fold_bytes)
 
 
 class TestCLI:

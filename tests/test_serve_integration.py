@@ -2,12 +2,14 @@
 clients, SIGKILL'd mid-stream, restarted with ``--restore`` — and the
 post-recovery query must be byte-identical to a run that never crashed.
 
-The kill lands at the worst possible instant: ``serve.fold.ack`` fires after
-an update is applied *and* persisted but before the ack leaves the daemon,
-so the client must retransmit an update the snapshot already holds.  The
-fold layer's watermarks turn that retransmission into a ``duplicate`` ack;
-without them the replay would double-count the batch and the byte-compare
-below would fail.
+The kill lands at the worst possible instants: ``serve.fold.ack`` fires
+after an update is applied *and* logged but before the ack leaves the
+daemon, so the client must retransmit an update the fold log already holds.
+The fold layer's watermarks turn that retransmission into a ``duplicate``
+ack; without them the replay would double-count the batch and the
+byte-compare below would fail.  ``serve.compact`` fires between a
+compaction's snapshot rename and its log truncation, so the restart finds
+log records the new snapshot already covers and must skip them by LSN.
 
 Runs in the CI chaos job (``pytest -m chaos``) and in tier-1; both runs use
 ``REPRO_FROZEN_CLOCK=1`` so timing fields are zero and the full query
@@ -28,6 +30,7 @@ import pytest
 
 from repro.distributed.network import SimulatedNetwork
 from repro.serve.client import ServeClient, ServeSource
+from repro.serve.daemon import load_snapshot, log_path_for
 from repro.stages.base import StageContext
 from repro.stages.cr import UniformStage
 from repro.streaming.source import StreamingSource
@@ -123,7 +126,12 @@ def final_query(port: int) -> dict:
     return response
 
 
-def test_kill_restore_query_is_byte_identical(tmp_path):
+def kill_restore_scenario(tmp_path: Path, faultpoint: str) -> tuple:
+    """Run the clients against an uncrashed daemon and against one killed
+    at ``faultpoint`` and restarted with ``--restore``, and demand equal
+    final query responses.  Returns what the kill left behind (the state
+    ``load_snapshot`` reads, and the LSNs in the log) and the folds the
+    restarted daemon applied itself."""
     # Scenario A: the uncrashed reference run.
     clean_dir = tmp_path / "clean"
     clean_dir.mkdir()
@@ -137,10 +145,10 @@ def test_kill_restore_query_is_byte_identical(tmp_path):
             proc.kill()
 
     # Scenario B: same streams, but the daemon dies a hard os._exit at the
-    # 10th applied fold — after persisting it, before acking it.
+    # faultpoint.
     crash_dir = tmp_path / "crash"
     crash_dir.mkdir()
-    proc, port = start_daemon(crash_dir, faultpoint="serve.fold.ack:exit:10")
+    proc, port = start_daemon(crash_dir, faultpoint=faultpoint)
     recovered = None
     try:
         clients = threading.Thread(target=run_clients, args=(port,))
@@ -148,9 +156,13 @@ def test_kill_restore_query_is_byte_identical(tmp_path):
         assert proc.wait(timeout=120) == faultpoints.EXIT_CODE, (
             "the daemon should have died at the injected faultpoint"
         )
-        # Restart on the same port from the snapshot the victim left behind.
+        snapshot = crash_dir / "serve.json"
+        crashed = load_snapshot(snapshot)
+        logged = [json.loads(line)["lsn"] for line in
+                  log_path_for(snapshot).read_bytes().splitlines()]
+        # Restart on the same port from the files the victim left behind.
         recovered, _ = start_daemon(
-            crash_dir, "--restore", str(crash_dir / "serve.json"), port=port
+            crash_dir, "--restore", str(snapshot), port=port
         )
         clients.join(timeout=120)
         assert not clients.is_alive(), "clients never finished after restart"
@@ -167,6 +179,27 @@ def test_kill_restore_query_is_byte_identical(tmp_path):
     folds_after_recovery = replayed.pop("_metrics_totals")
     assert json.dumps(replayed, sort_keys=True) == \
         json.dumps(reference, sort_keys=True)
+    return crashed, logged, folds_after_recovery
+
+
+def test_kill_restore_query_is_byte_identical(tmp_path):
+    # The daemon dies at the 10th applied fold — after logging it, before
+    # acking it.
+    _, _, folds_after_recovery = kill_restore_scenario(
+        tmp_path, "serve.fold.ack:exit:10")
     # The restarted daemon saw at most the unacked tail as new folds — the
     # persisted prefix re-arrived as duplicates, never re-applied.
     assert folds_after_recovery <= CLIENTS * BATCHES - 9
+
+
+def test_kill_mid_compaction_restore_query_is_byte_identical(tmp_path):
+    # The 5th compaction (the first is at start-up) dies after renaming the
+    # new snapshot, before truncating the log.
+    crashed, logged, folds_after_recovery = kill_restore_scenario(
+        tmp_path, "serve.compact:exit:5")
+    # Every record left in the log is one the new snapshot already covers,
+    assert logged and logged[-1] == crashed["lsn"] and not crashed["log"]
+    # and the restarted daemon applied only the folds the snapshot lacked.
+    persisted = crashed["tenants"]["default"]["updates_folded"]
+    assert persisted > 0
+    assert folds_after_recovery <= CLIENTS * BATCHES - persisted
