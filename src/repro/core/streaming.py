@@ -57,7 +57,7 @@ from repro.streaming.server import StreamingServer
 from repro.streaming.source import StreamingSource
 from repro.topology.aggregator import AggregatorNode
 from repro.topology.router import TopologyRouter
-from repro.topology.spec import TopologyLike, resolve_topology
+from repro.topology.spec import Topology, TopologyLike, resolve_topology
 from repro.utils.parallel import parallel_map, resolve_jobs
 from repro.utils.random import SeedLike, as_generator, derive_seed, spawn_generators
 from repro.utils.validation import (
@@ -149,13 +149,16 @@ class StreamingEngine(DistributedStagePipeline):
         subtree, the rest of the tree keeps streaming.
     topology, fan_in:
         Aggregation topology.  ``None`` / ``"star"`` is the paper's flat
-        source → server fold (bit-identical to the pre-topology engine);
-        ``"tree"`` folds sources through a balanced aggregator tree with
-        ``fan_in`` children per node (each hop a metered coreset merge +
-        re-reduce); a :class:`~repro.topology.spec.Topology` instance pins
-        an explicit shape.  Star runs draw exactly the same random
-        sequence as before — aggregator generators are derived only in
-        tree mode, after all flat-path draws.
+        source → server fold; ``"tree"`` folds sources through a balanced
+        aggregator tree with ``fan_in`` children per node (each hop a
+        metered coreset merge + re-reduce); a
+        :class:`~repro.topology.spec.Topology` instance pins an explicit
+        shape.  Every shape, the star included, runs through one
+        :class:`~repro.topology.router.TopologyRouter`; only a tree's
+        report carries topology details.  Random draws keep a fixed
+        order: the stream-wide handshake, the server seed, the source
+        generators, then aggregator generators only when there are
+        aggregators.
     """
 
     name: str = "streaming"
@@ -242,29 +245,16 @@ class StreamingEngine(DistributedStagePipeline):
         iterators = [iter(s) for s in streams]
         # Resolve the aggregation topology against the actual source count
         # before any random draws, so configuration errors surface eagerly.
-        # ``None`` means star: the flat code path, bit-identical to the
-        # pre-topology engine.
-        topology = resolve_topology(self.topology, self.fan_in, len(iterators))
-        ctx = StageContext(
-            k=self.k, epsilon=self.epsilon, delta=self.delta, rng=self._rng
-        )
+        topology = resolve_topology(
+            self.topology, self.fan_in, len(iterators)
+        ) or Topology.star(len(iterators))
 
         first_batch = next(iterators[0], None)
         if first_batch is None:
             raise ValueError("the first stream yielded no batches")
         first_batch = check_matrix(first_batch, "batch")
         iterators[0] = iter(itertools.chain([first_batch], iterators[0]))
-
-        stages = self._wire_stages()
-        stages = _pin_derived_dimensions(stages, first_batch.shape, ctx)
-        reduce_stage = next((s for s in stages if s.reduces_cardinality), None)
-        if reduce_stage is None:
-            raise ValueError(
-                "streaming requires a CR stage (FSS / SS / Uniform) in the "
-                "composition; merge-and-reduce has nothing to reduce with"
-            )
-        for stage in stages:
-            stage.handshake(ctx)
+        stages, reduce_stage = self._start_stream(first_batch.shape)
 
         network = SimulatedNetwork(
             condition=self.network_condition, fault_plan=self.fault_plan
@@ -283,51 +273,40 @@ class StreamingEngine(DistributedStagePipeline):
         source_rngs = spawn_generators(self._rng, len(iterators))
         sources = [
             StreamingSource(
-                f"source-{i}",
+                source_id,
                 stages,
                 reduce_stage,
-                StageContext(
-                    k=self.k, epsilon=self.epsilon, delta=self.delta, rng=source_rngs[i]
-                ),
+                self._context(rng),
                 network,
                 window=self.window,
-                receiver="server" if topology is None else topology.parent(f"source-{i}"),
+                receiver=topology.parent(source_id),
             )
-            for i in range(len(iterators))
+            for source_id, rng in zip(topology.source_ids, source_rngs)
         ]
-        router = None
-        if topology is None:
-            # Registration handshake: folds from anything but these sources
-            # are typed rejections, matching the serve daemon's admission
-            # contract.
-            for source in sources:
-                server.register(source.source_id)
-        else:
-            # Aggregator generators are derived only in tree mode, *after*
-            # every flat-path draw — star runs keep the exact pre-topology
-            # random sequence.
-            agg_rngs = spawn_generators(self._rng, topology.num_aggregators)
-            wire_quantizer = next(
-                (s.quantizer for s in stages if isinstance(s, QuantizeStage)), None
+        # Aggregator generators are drawn last, and only when there are
+        # aggregators, so a star's draws do not depend on tree support.
+        num_aggregators = topology.num_aggregators
+        agg_rngs = (
+            spawn_generators(self._rng, num_aggregators) if num_aggregators else []
+        )
+        wire_quantizer = next(
+            (s.quantizer for s in stages if isinstance(s, QuantizeStage)), None
+        )
+        aggregators = [
+            AggregatorNode(
+                agg_id,
+                topology.parent(agg_id),
+                topology.level(agg_id),
+                reduce_stage,
+                self._context(rng),
+                network,
+                quantizer=wire_quantizer,
             )
-            aggregators = [
-                AggregatorNode(
-                    agg_id,
-                    topology.parent(agg_id),
-                    topology.level(agg_id),
-                    reduce_stage,
-                    StageContext(
-                        k=self.k, epsilon=self.epsilon, delta=self.delta,
-                        rng=agg_rngs[j],
-                    ),
-                    network,
-                    quantizer=wire_quantizer,
-                )
-                for j, agg_id in enumerate(topology.aggregator_ids)
-            ]
-            router = TopologyRouter(
-                topology, sources, aggregators, server, network, self.fault_plan
-            )
+            for agg_id, rng in zip(topology.aggregator_ids, agg_rngs)
+        ]
+        router = TopologyRouter(
+            topology, sources, aggregators, server, network, self.fault_plan
+        )
 
         ledger: Dict[int, List[int]] = {}
         queries: List[QuerySnapshot] = []
@@ -342,8 +321,7 @@ class StreamingEngine(DistributedStagePipeline):
         )
         try:
             t = self._stream_steps(
-                iterators, sources, server, network, ledger, queries, exhausted,
-                executor, router,
+                iterators, router, ledger, queries, exhausted, executor
             )
         finally:
             if executor is not None:
@@ -353,23 +331,15 @@ class StreamingEngine(DistributedStagePipeline):
             raise ValueError("the streams yielded no batches")
         last_step = t - 1
         if not queries or queries[-1].time != last_step:
-            queries.append(self._query(server, sources, network, ledger, last_step))
+            queries.append(self._query(router, ledger, last_step))
 
-        return self._report(sources, server, network, queries, ledger, t, router)
+        return self._report(router, queries, ledger, t)
 
     def _stream_steps(
-        self,
-        iterators,
-        sources,
-        server,
-        network,
-        ledger,
-        queries,
-        exhausted,
-        executor,
-        router=None,
+        self, iterators, router, ledger, queries, exhausted, executor
     ) -> int:
         """Drive the batch-step loop; returns the number of steps taken."""
+        network, sources = router.network, router.sources
         t = 0
         while not all(exhausted):
             # Stream time is the fault plan's round clock: dropouts and
@@ -380,14 +350,13 @@ class StreamingEngine(DistributedStagePipeline):
                     source.source_id, t
                 ):
                     # The node died: it stops ingesting; its last shipped
-                    # summary stays at the server (stale but valid data).
+                    # summary stays at its parent (stale but valid data).
                     network.mark_failed(source.source_id)
                     exhausted[i] = True
-            if router is not None:
-                # A dead aggregator severs exactly its subtree: descendant
-                # sources stop ingesting, its parent keeps its last bucket.
-                for i in router.apply_faults(t):
-                    exhausted[i] = True
+            # A dead aggregator severs exactly its subtree: descendant
+            # sources stop ingesting, its parent keeps its last bucket.
+            for i in router.apply_faults(t):
+                exhausted[i] = True
             # Gather this step's arrivals first: the loop must end *before*
             # stream time advances past the last real batch step, otherwise
             # sliding-window expiry would run one tick beyond the stream and
@@ -412,43 +381,16 @@ class StreamingEngine(DistributedStagePipeline):
                 executor=executor,
             )
             # Transmission phase: serial, in source order — the metered
-            # uplink and the per-step ledger are schedule-independent.  In
-            # tree mode the router drives it (sources fold into their
-            # aggregators, aggregators cascade upward level by level).
-            if router is not None:
-                router.deliver_step(t, arrivals, ledger, self.window)
-                if (
-                    self.query_every is not None
-                    and (t + 1) % self.query_every == 0
-                    and server.has_summary
-                ):
-                    queries.append(self._query(server, sources, network, ledger, t))
-                t += 1
-                continue
-            for source, batch in zip(sources, arrivals):
-                if batch is None:
-                    # Sliding window: an ended stream still ages while others
-                    # ingest — its out-of-window buckets must leave the
-                    # server view (and the query cost) in lockstep.  A failed
-                    # source cannot retire anything: its last summary stays
-                    # at the server as-is.
-                    if self.window is not None and not network.is_failed(
-                        source.source_id
-                    ):
-                        server.fold(source.advance(t))
-                    continue
-                scalars_before = network.uplink_scalars()
-                bits_before = network.uplink_bits()
-                server.fold(source.flush(t))
-                step = ledger.setdefault(t, [0, 0])
-                step[0] += network.uplink_scalars() - scalars_before
-                step[1] += network.uplink_bits() - bits_before
+            # uplink and the per-step ledger are schedule-independent.  The
+            # router folds every source into its parent and, in a tree,
+            # cascades the aggregators upward level by level.
+            router.deliver_step(t, arrivals, ledger, self.window)
             if (
                 self.query_every is not None
                 and (t + 1) % self.query_every == 0
-                and server.has_summary
+                and router.server.has_summary
             ):
-                queries.append(self._query(server, sources, network, ledger, t))
+                queries.append(self._query(router, ledger, t))
             t += 1
         return t
 
@@ -467,33 +409,21 @@ class StreamingEngine(DistributedStagePipeline):
         processes constructing the same composition from the same seed agree
         on the DR maps and their summaries stay mergeable at the daemon.
         """
-        if self.topology not in (None, "star") or self.fan_in is not None:
+        star = self.topology in (None, "star") or (
+            isinstance(self.topology, Topology) and self.topology.is_star
+        )
+        if not star or self.fan_in is not None:
             raise ValueError(
                 "standalone_source is the client half of a star deployment "
                 "(sources fold straight into the daemon); tree topologies "
                 "apply only to in-process runs"
             )
-        ctx = StageContext(
-            k=self.k, epsilon=self.epsilon, delta=self.delta, rng=self._rng
-        )
-        stages = self._wire_stages()
-        stages = _pin_derived_dimensions(stages, first_batch_shape, ctx)
-        reduce_stage = next((s for s in stages if s.reduces_cardinality), None)
-        if reduce_stage is None:
-            raise ValueError(
-                "streaming requires a CR stage (FSS / SS / Uniform) in the "
-                "composition; merge-and-reduce has nothing to reduce with"
-            )
-        for stage in stages:
-            stage.handshake(ctx)
-        source_rng = spawn_generators(self._rng, 1)[0]
+        stages, reduce_stage = self._start_stream(first_batch_shape)
         return StreamingSource(
             str(source_id),
             stages,
             reduce_stage,
-            StageContext(
-                k=self.k, epsilon=self.epsilon, delta=self.delta, rng=source_rng
-            ),
+            self._context(spawn_generators(self._rng, 1)[0]),
             network if network is not None else SimulatedNetwork(),
             window=self.window,
         )
@@ -504,6 +434,32 @@ class StreamingEngine(DistributedStagePipeline):
         if self.quantizer is not None:
             stages.append(QuantizeStage(self.quantizer))
         return stages
+
+    def _context(self, rng) -> StageContext:
+        return StageContext(
+            k=self.k, epsilon=self.epsilon, delta=self.delta, rng=rng
+        )
+
+    def _start_stream(
+        self, first_batch_shape: Tuple[int, int]
+    ) -> Tuple[List[Stage], Stage]:
+        """The stream-start protocol: pin derived dimensions against the
+        first batch's shape, then run the stream-wide seed handshake.
+        Returns the pinned stages and the CR stage that reduces merged
+        buckets."""
+        ctx = self._context(self._rng)
+        stages = _pin_derived_dimensions(
+            self._wire_stages(), first_batch_shape, ctx
+        )
+        reduce_stage = next((s for s in stages if s.reduces_cardinality), None)
+        if reduce_stage is None:
+            raise ValueError(
+                "streaming requires a CR stage (FSS / SS / Uniform) in the "
+                "composition; merge-and-reduce has nothing to reduce with"
+            )
+        for stage in stages:
+            stage.handshake(ctx)
+        return stages, reduce_stage
 
     def _windowed_totals(self, ledger: Dict[int, List[int]], t: int) -> Tuple[int, int]:
         if self.window is None:
@@ -517,16 +473,12 @@ class StreamingEngine(DistributedStagePipeline):
         return scalars, bits
 
     def _query(
-        self,
-        server: StreamingServer,
-        sources: Sequence[StreamingSource],
-        network: SimulatedNetwork,
-        ledger: Dict[int, List[int]],
-        t: int,
+        self, router: TopologyRouter, ledger: Dict[int, List[int]], t: int
     ) -> QuerySnapshot:
+        server, network = router.server, router.network
         result, coreset, seconds = server.query()
         centers = result.centers
-        lifts = next((s.lifts for s in sources if s.lifts is not None), [])
+        lifts = next((s.lifts for s in router.sources if s.lifts is not None), [])
         for lift in reversed(lifts):
             centers = lift(centers)
         windowed_scalars, windowed_bits = self._windowed_totals(ledger, t)
@@ -545,14 +497,12 @@ class StreamingEngine(DistributedStagePipeline):
 
     def _report(
         self,
-        sources: Sequence[StreamingSource],
-        server: StreamingServer,
-        network: SimulatedNetwork,
+        router: TopologyRouter,
         queries: List[QuerySnapshot],
         ledger: Dict[int, List[int]],
         num_steps: int,
-        router=None,
     ) -> StreamingReport:
+        sources, server, network = router.sources, router.server, router.network
         final = queries[-1]
         quantizer_bits = self.quantizer_bits
         if quantizer_bits is None:
@@ -597,7 +547,7 @@ class StreamingEngine(DistributedStagePipeline):
             batch_size=self.batch_size,
             window=0 if self.window is None else self.window,
         )
-        if router is not None:
+        if not router.topology.is_star:
             report = report.with_detail(
                 topology_hops=router.topology.hops,
                 num_aggregators=router.topology.num_aggregators,

@@ -31,11 +31,11 @@ layer therefore keeps a per-source ``batch_index`` high-water mark:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cr.coreset import Coreset, merge_coresets
 from repro.kmeans.lloyd import KMeansResult, WeightedKMeans
-from repro.streaming.source import SourceUpdate
+from repro.streaming.source import BucketUpdate, SourceUpdate
 from repro.utils import faultpoints
 from repro.utils.clock import perf_counter
 from repro.utils.random import (
@@ -104,6 +104,56 @@ class FoldResult(enum.Enum):
     DUPLICATE = "duplicate"
 
 
+class FoldState:
+    """The watermarked fold every fold target runs: the root
+    :class:`StreamingServer` and each mid-tree
+    :class:`~repro.topology.aggregator.AggregatorNode`.
+
+    Holds the per-source ``batch_index`` high-water marks and the
+    per-(source, bucket) map of the buckets those sources delivered, and
+    applies updates under the contract in the module docstring.
+    """
+
+    def __init__(self) -> None:
+        #: source_id -> highest applied batch_index (-1 = registered, no
+        #: update applied yet).  Presence in the map *is* registration.
+        self.watermarks: Dict[str, int] = {}
+        #: (source_id, bucket_id) -> the bucket as it crossed the wire.
+        self.buckets: Dict[Tuple[str, int], BucketUpdate] = {}
+        #: Set when an applied update added or retired a bucket; the owner
+        #: clears it once it has acted on the change.
+        self.changed = False
+
+    def register(self, source_id: str) -> int:
+        """Admit ``source_id`` (idempotent); returns its watermark."""
+        return self.watermarks.setdefault(str(source_id), -1)
+
+    def apply(self, update: SourceUpdate) -> FoldResult:
+        """Retire then add, unless the update is a duplicate, stale, gapped
+        or from an unregistered source."""
+        watermark = self.watermarks.get(update.source_id)
+        if watermark is None:
+            raise UnknownSourceError(update.source_id, self.watermarks)
+        index = int(update.batch_index)
+        if index <= watermark:
+            return FoldResult.DUPLICATE
+        if index > watermark + 1:
+            raise UpdateGapError(update.source_id, watermark + 1, index)
+        for bucket_id in update.retired_ids:
+            if self.buckets.pop((update.source_id, bucket_id), None) is not None:
+                self.changed = True
+        for bucket in update.added:
+            self.buckets[(update.source_id, bucket.bucket_id)] = bucket
+            self.changed = True
+        self.watermarks[update.source_id] = index
+        return FoldResult.APPLIED
+
+    @property
+    def live_buckets(self) -> List[BucketUpdate]:
+        """Every held bucket, in (source, bucket) order."""
+        return [self.buckets[key] for key in sorted(self.buckets)]
+
+
 class StreamingServer:
     """Server half of the streaming protocol.
 
@@ -129,10 +179,7 @@ class StreamingServer:
         self.n_init = check_positive_int(n_init, "n_init")
         self.max_iterations = check_positive_int(max_iterations, "max_iterations")
         self._rng = as_generator(seed)
-        self._buckets: Dict[Tuple[str, int], Coreset] = {}
-        #: source_id -> highest applied batch_index (-1 = registered, no
-        #: update applied yet).  Presence in the map *is* registration.
-        self._watermarks: Dict[str, int] = {}
+        self._fold = FoldState()
         self.compute_seconds = 0.0
         self.updates_folded = 0
 
@@ -144,19 +191,19 @@ class StreamingServer:
         been applied yet), which is what a reconnecting client needs to know
         where to resume its replay.
         """
-        return self._watermarks.setdefault(str(source_id), -1)
+        return self._fold.register(source_id)
 
     @property
     def registered_sources(self) -> Tuple[str, ...]:
         """Every source admitted to the fold, sorted."""
-        return tuple(sorted(self._watermarks))
+        return tuple(sorted(self._fold.watermarks))
 
     def watermark(self, source_id: str) -> int:
         """Highest applied ``batch_index`` of a registered source."""
         try:
-            return self._watermarks[str(source_id)]
+            return self._fold.watermarks[str(source_id)]
         except KeyError:
-            raise UnknownSourceError(source_id, self._watermarks) from None
+            raise UnknownSourceError(source_id, self._fold.watermarks) from None
 
     def fold(self, update: SourceUpdate) -> FoldResult:
         """Apply one incremental summary: retire then add.
@@ -168,38 +215,27 @@ class StreamingServer:
         :class:`UnknownSourceError`.
         """
         faultpoints.reach("streaming.fold")
-        watermark = self._watermarks.get(update.source_id)
-        if watermark is None:
-            raise UnknownSourceError(update.source_id, self._watermarks)
-        index = int(update.batch_index)
-        if index <= watermark:
-            return FoldResult.DUPLICATE
-        if index > watermark + 1:
-            raise UpdateGapError(update.source_id, watermark + 1, index)
-        for bucket_id in update.retired_ids:
-            self._buckets.pop((update.source_id, bucket_id), None)
-        for bucket in update.added:
-            self._buckets[(update.source_id, bucket.bucket_id)] = bucket.coreset
-        self._watermarks[update.source_id] = index
-        self.updates_folded += 1
-        return FoldResult.APPLIED
+        result = self._fold.apply(update)
+        if result is FoldResult.APPLIED:
+            self.updates_folded += 1
+        return result
 
     @property
     def live_bucket_count(self) -> int:
-        return len(self._buckets)
+        return len(self._fold.buckets)
 
     @property
     def has_summary(self) -> bool:
-        return bool(self._buckets)
+        return bool(self._fold.buckets)
 
     def global_coreset(self) -> Coreset:
         """Union of every live bucket of every source."""
-        if not self._buckets:
+        if not self._fold.buckets:
             raise EmptySummaryError(
                 "the server holds no summary (no batches ingested, or every "
                 "bucket expired from the sliding window)"
             )
-        return merge_coresets(self._buckets[key] for key in sorted(self._buckets))
+        return merge_coresets(b.coreset for b in self._fold.live_buckets)
 
     def query(self) -> Tuple[KMeansResult, Coreset, float]:
         """Solve weighted k-means on the current global coreset.
@@ -241,6 +277,7 @@ class StreamingServer:
         handshake): a server rebuilt by :meth:`restore` derives the same
         solver seed for its next query and answers it bit-identically.
         """
+        watermarks, buckets = self._fold.watermarks, self._fold.buckets
         return {
             "k": self.k,
             "n_init": self.n_init,
@@ -253,16 +290,16 @@ class StreamingServer:
             # replaying its unacked tail gets DUPLICATE acks, never a
             # double-fold.
             "watermarks": [
-                {"source_id": source_id, "batch_index": self._watermarks[source_id]}
-                for source_id in sorted(self._watermarks)
+                {"source_id": source_id, "batch_index": watermarks[source_id]}
+                for source_id in sorted(watermarks)
             ],
             "buckets": [
                 {
                     "source_id": source_id,
                     "bucket_id": bucket_id,
-                    "coreset": self._buckets[(source_id, bucket_id)].to_state(),
+                    "coreset": buckets[(source_id, bucket_id)].coreset.to_state(),
                 }
-                for source_id, bucket_id in sorted(self._buckets)
+                for source_id, bucket_id in sorted(buckets)
             ],
         }
 
@@ -276,19 +313,24 @@ class StreamingServer:
             max_iterations=int(snapshot.get("max_iterations", 100)),
         )
         server.rng_state = snapshot["rng"]
-        server._buckets = {
-            (str(b["source_id"]), int(b["bucket_id"])):
-                Coreset.from_state(b["coreset"])
+        fold = server._fold
+        # A snapshot keeps each bucket's coreset, all that a query reads; the
+        # batch span and level are read only by aggregators and restore as
+        # zeros.
+        fold.buckets = {
+            (str(b["source_id"]), int(b["bucket_id"])): BucketUpdate(
+                int(b["bucket_id"]), Coreset.from_state(b["coreset"]), 0, 0, 0
+            )
             for b in snapshot.get("buckets", ())
         }
-        server._watermarks = {
+        fold.watermarks = {
             str(w["source_id"]): int(w["batch_index"])
             for w in snapshot.get("watermarks", ())
         }
         # Pre-watermark snapshots: admit every source that owns a bucket so
         # folding can continue, with an unknown (-1) watermark.
-        for source_id, _ in server._buckets:
-            server._watermarks.setdefault(source_id, -1)
+        for source_id, _ in fold.buckets:
+            fold.register(source_id)
         server.compute_seconds = float(snapshot.get("compute_seconds", 0.0))
         server.updates_folded = int(snapshot.get("updates_folded", 0))
         return server

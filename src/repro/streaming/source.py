@@ -23,8 +23,9 @@ timestamped batch it
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.cr.coreset import Coreset
 from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.stages.base import CenterLift, SourceState, Stage, StageContext
-from repro.streaming.tree import Bucket, CoresetTree
+from repro.streaming.tree import CoresetTree
 from repro.utils.clock import perf_counter
 
 
@@ -55,6 +56,65 @@ class SourceUpdate:
     batch_index: int
     added: List[BucketUpdate] = field(default_factory=list)
     retired_ids: List[int] = field(default_factory=list)
+
+
+def reduce_coreset(stage: Stage, ctx: StageContext, coreset: Coreset) -> Coreset:
+    """Re-compress a merged coreset with the composition's CR stage."""
+    state = SourceState(
+        points=coreset.points, weights=coreset.weights, shift=coreset.shift
+    )
+    state = stage.apply_at_source(state, ctx).state
+    return Coreset(state.points, state.weights, state.shift)
+
+
+def ship_bucket(
+    network: SimulatedNetwork,
+    sender: str,
+    receiver: str,
+    bucket,
+    quantizer,
+    hop: str = "",
+) -> BucketUpdate:
+    """Transmit one bucket and return it as it crossed the wire.
+
+    ``bucket`` is a :class:`~repro.streaming.tree.Bucket` or a
+    :class:`BucketUpdate`.  Quantize-on-send: points at reduced precision,
+    weights and Δ at full precision (Section 6.2's coreset wire format),
+    plus a 5-scalar header; ``hop`` suffixes the wire tags (``"@h<level>"``
+    for an aggregator's upward hop).  Raises
+    :class:`~repro.distributed.conditions.DeliveryError` when a message
+    cannot be delivered.
+    """
+    coreset, bits = bucket.coreset, None
+    if quantizer is not None:
+        coreset = Coreset(
+            quantizer.quantize(coreset.points), coreset.weights, coreset.shift
+        )
+        bits = int(quantizer.significant_bits)
+    header = [
+        float(bucket.bucket_id), float(bucket.level),
+        float(bucket.first_batch), float(bucket.last_batch),
+        float(coreset.shift),
+    ]
+    # One batched call per bucket: the recorded messages (and loss draws)
+    # are bit-identical to three sequential sends, but the per-call
+    # link/fault-plan resolution is hoisted — the difference between
+    # feasible and not at 10k sources.
+    network.send_many(
+        sender, receiver,
+        [
+            ("stream-points" + hop, coreset.points, bits),
+            ("stream-weights" + hop, coreset.weights, None),
+            ("stream-header" + hop, header, None),
+        ],
+    )
+    return BucketUpdate(
+        bucket_id=bucket.bucket_id,
+        coreset=coreset,
+        first_batch=bucket.first_batch,
+        last_batch=bucket.last_batch,
+        level=bucket.level,
+    )
 
 
 class StreamingSource:
@@ -95,7 +155,10 @@ class StreamingSource:
         self.reduce_stage = reduce_stage
         self.ctx = ctx
         self.network = network
-        self.tree = CoresetTree(reduce=self._reduce, window=window)
+        self.tree = CoresetTree(
+            reduce=functools.partial(reduce_coreset, reduce_stage, ctx),
+            window=window,
+        )
         self.compute_seconds = 0.0
         self.batches_ingested = 0
         self.lifts: Optional[List[CenterLift]] = None
@@ -207,14 +270,6 @@ class StreamingSource:
         return self
 
     # ------------------------------------------------------------ internals
-    def _reduce(self, coreset: Coreset) -> Coreset:
-        """Re-compress a merged bucket with the composition's CR stage."""
-        state = SourceState(
-            points=coreset.points, weights=coreset.weights, shift=coreset.shift
-        )
-        state = self.reduce_stage.apply_at_source(state, self.ctx).state
-        return Coreset(state.points, state.weights, state.shift)
-
     def _transmit_delta(self, batch_index: int, quantizer) -> SourceUpdate:
         """Ship exactly the difference between server view and live buckets.
 
@@ -222,68 +277,28 @@ class StreamingSource:
         server update (and :attr:`_shipped`) only when all three of its
         messages arrive; anything undelivered stays pending and retries on
         the next flush, so a flaky link catches the server up once it
-        recovers.  Every failed attempt is still metered by the network.
+        recovers.  Retirements ship only after every new bucket arrived.
+        Every failed attempt is still metered by the network.
         """
-        live = set(self.tree.live_bucket_ids)
-        to_retire = sorted(self._shipped - live)
-        to_add = [b for b in self.tree.live_buckets if b.bucket_id not in self._shipped]
-
+        to_retire = sorted(self._shipped - set(self.tree.live_bucket_ids))
         update = SourceUpdate(source_id=self.source_id, batch_index=batch_index)
-        link_up = True
-        for bucket in to_add:
-            wire_coreset, bits = self._encode_bucket(bucket, quantizer)
-            header = [
-                float(bucket.bucket_id), float(bucket.level),
-                float(bucket.first_batch), float(bucket.last_batch),
-                float(wire_coreset.shift),
-            ]
-            try:
-                # One batched call per bucket: the recorded messages (and
-                # loss draws) are bit-identical to three sequential sends,
-                # but the per-call link/fault-plan resolution is hoisted —
-                # the difference between feasible and not at 10k sources.
-                self.network.send_many(
-                    self.source_id, self.receiver,
-                    [
-                        ("stream-points", wire_coreset.points, bits),
-                        ("stream-weights", wire_coreset.weights, None),
-                        ("stream-header", header, None),
-                    ],
+        try:
+            for bucket in self.tree.live_buckets:
+                if bucket.bucket_id in self._shipped:
+                    continue
+                update.added.append(
+                    ship_bucket(
+                        self.network, self.source_id, self.receiver, bucket,
+                        quantizer,
+                    )
                 )
-            except DeliveryError:
-                self.delivery_failures += 1
-                link_up = False
-                break
-            self._shipped.add(bucket.bucket_id)
-            update.added.append(
-                BucketUpdate(
-                    bucket_id=bucket.bucket_id,
-                    coreset=wire_coreset,
-                    first_batch=bucket.first_batch,
-                    last_batch=bucket.last_batch,
-                    level=bucket.level,
-                )
-            )
-        if to_retire and link_up:
-            try:
+                self._shipped.add(bucket.bucket_id)
+            if to_retire:
                 self.network.send(
                     self.source_id, self.receiver, to_retire, tag="stream-retire"
                 )
-            except DeliveryError:
-                self.delivery_failures += 1
-            else:
                 update.retired_ids = to_retire
                 self._shipped -= set(to_retire)
+        except DeliveryError:
+            self.delivery_failures += 1
         return update
-
-    @staticmethod
-    def _encode_bucket(bucket: Bucket, quantizer) -> Tuple[Coreset, Optional[int]]:
-        """Quantize-on-send: points at reduced precision, weights and Δ at
-        full precision (Section 6.2's coreset wire format)."""
-        coreset = bucket.coreset
-        if quantizer is None:
-            return coreset, None
-        return (
-            Coreset(quantizer.quantize(coreset.points), coreset.weights, coreset.shift),
-            int(quantizer.significant_bits),
-        )

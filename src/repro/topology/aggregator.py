@@ -2,11 +2,12 @@
 
 An :class:`AggregatorNode` is both halves of the streaming protocol at
 once.  Downward it is a server: it registers its children and folds their
-:class:`~repro.streaming.source.SourceUpdate`\\ s under the same watermarked
-at-least-once contract as :class:`~repro.streaming.server.StreamingServer`
-(duplicates ack as no-ops, gaps are typed rejections).  Upward it is a
-source: whenever its child view changed it merges every live child bucket
-(exact, by coreset mergeability — the same merge the
+:class:`~repro.streaming.source.SourceUpdate`\\ s with the
+:class:`~repro.streaming.server.FoldState` the root
+:class:`~repro.streaming.server.StreamingServer` uses (duplicates ack as
+no-ops, gaps are typed rejections).  Upward it is a source: whenever its
+child view changed it merges every live child bucket (exact, by coreset
+mergeability — the same merge the
 :class:`~repro.streaming.tree.CoresetTree` performs), re-compresses the
 merged summary with the composition's CR stage (timed as aggregator
 compute), and ships *one* replacing bucket to its parent through the
@@ -21,14 +22,19 @@ summary (stale but valid) and retries on the next step.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from repro.cr.coreset import Coreset, merge_coresets
+from repro.cr.coreset import merge_coresets
 from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
-from repro.stages.base import SourceState, Stage, StageContext
-from repro.streaming.source import BucketUpdate, SourceUpdate
-from repro.streaming.server import FoldResult, UnknownSourceError, UpdateGapError
+from repro.stages.base import Stage, StageContext
+from repro.streaming.source import (
+    BucketUpdate,
+    SourceUpdate,
+    reduce_coreset,
+    ship_bucket,
+)
+from repro.streaming.server import FoldResult, FoldState
 from repro.utils.clock import perf_counter
 
 
@@ -68,10 +74,7 @@ class AggregatorNode:
         self.ctx = ctx
         self.network = network
         self.quantizer = quantizer
-        #: (child_id, bucket_id) -> the child bucket as it crossed the wire.
-        self._buckets: Dict[Tuple[str, int], BucketUpdate] = {}
-        self._watermarks: Dict[str, int] = {}
-        self._dirty = False
+        self._fold = FoldState()
         #: Bucket id the parent currently holds for this aggregator.
         self._current_id: Optional[int] = None
         self._next_bucket_id = 0
@@ -83,31 +86,18 @@ class AggregatorNode:
     # ----------------------------------------------------------- server half
     def register(self, child_id: str) -> int:
         """Admit a child to this aggregator's fold (idempotent)."""
-        return self._watermarks.setdefault(str(child_id), -1)
+        return self._fold.register(child_id)
 
     def fold(self, update: SourceUpdate) -> FoldResult:
         """Fold one child update under the watermarked delivery contract."""
-        watermark = self._watermarks.get(update.source_id)
-        if watermark is None:
-            raise UnknownSourceError(update.source_id, self._watermarks)
-        index = int(update.batch_index)
-        if index <= watermark:
-            return FoldResult.DUPLICATE
-        if index > watermark + 1:
-            raise UpdateGapError(update.source_id, watermark + 1, index)
-        for bucket_id in update.retired_ids:
-            if self._buckets.pop((update.source_id, bucket_id), None) is not None:
-                self._dirty = True
-        for bucket in update.added:
-            self._buckets[(update.source_id, bucket.bucket_id)] = bucket
-            self._dirty = True
-        self._watermarks[update.source_id] = index
-        self.updates_folded += 1
-        return FoldResult.APPLIED
+        result = self._fold.apply(update)
+        if result is FoldResult.APPLIED:
+            self.updates_folded += 1
+        return result
 
     @property
     def live_bucket_count(self) -> int:
-        return len(self._buckets)
+        return len(self._fold.buckets)
 
     # ----------------------------------------------------------- source half
     def emit(self, batch_index: int) -> SourceUpdate:
@@ -116,48 +106,38 @@ class AggregatorNode:
         Always returns an update stamped ``batch_index`` — an empty one
         when the child view did not change (it advances the parent's
         watermark at zero wire cost, keeping the per-source contiguity the
-        fold contract demands).  When dirty, merges the live child buckets,
-        re-reduces, and ships the replacing bucket; on a delivery failure
-        the update stays empty, the aggregator stays dirty, and the hop
-        retries next step.
+        fold contract demands).  When it changed, merges the live child
+        buckets, re-reduces, and ships the replacing bucket; on a delivery
+        failure the update stays empty, the change stays pending, and the
+        hop retries next step.
         """
         update = SourceUpdate(source_id=self.agg_id, batch_index=int(batch_index))
-        if not self._dirty:
+        if not self._fold.changed:
             return update
 
         start = perf_counter()
-        reduced: Optional[Coreset] = None
-        first_batch = last_batch = 0
-        if self._buckets:
-            children = [self._buckets[key] for key in sorted(self._buckets)]
-            merged = merge_coresets(c.coreset for c in children)
-            state = SourceState(
-                points=merged.points, weights=merged.weights, shift=merged.shift
+        merged: Optional[BucketUpdate] = None
+        children = self._fold.live_buckets
+        if children:
+            merged = BucketUpdate(
+                bucket_id=self._next_bucket_id,
+                coreset=reduce_coreset(
+                    self.reduce_stage, self.ctx,
+                    merge_coresets(c.coreset for c in children),
+                ),
+                first_batch=min(c.first_batch for c in children),
+                last_batch=max(c.last_batch for c in children),
+                level=self.level,
             )
-            state = self.reduce_stage.apply_at_source(state, self.ctx).state
-            reduced = Coreset(state.points, state.weights, state.shift)
-            first_batch = min(c.first_batch for c in children)
-            last_batch = max(c.last_batch for c in children)
             self.merges += 1
         self.compute_seconds += perf_counter() - start
 
         hop = f"@h{self.level}"
-        bucket_id = self._next_bucket_id
         try:
-            if reduced is not None:
-                wire_coreset, bits = self._encode(reduced)
-                header = [
-                    float(bucket_id), float(self.level),
-                    float(first_batch), float(last_batch),
-                    float(wire_coreset.shift),
-                ]
-                self.network.send_many(
-                    self.agg_id, self.parent_id,
-                    [
-                        ("stream-points" + hop, wire_coreset.points, bits),
-                        ("stream-weights" + hop, wire_coreset.weights, None),
-                        ("stream-header" + hop, header, None),
-                    ],
+            if merged is not None:
+                merged = ship_bucket(
+                    self.network, self.agg_id, self.parent_id, merged,
+                    self.quantizer, hop,
                 )
             if self._current_id is not None:
                 self.network.send(
@@ -171,30 +151,9 @@ class AggregatorNode:
         if self._current_id is not None:
             update.retired_ids = [self._current_id]
             self._current_id = None
-        if reduced is not None:
-            update.added.append(
-                BucketUpdate(
-                    bucket_id=bucket_id,
-                    coreset=wire_coreset,
-                    first_batch=first_batch,
-                    last_batch=last_batch,
-                    level=self.level,
-                )
-            )
-            self._current_id = bucket_id
-            self._next_bucket_id = bucket_id + 1
-        self._dirty = False
+        if merged is not None:
+            update.added.append(merged)
+            self._current_id = merged.bucket_id
+            self._next_bucket_id = merged.bucket_id + 1
+        self._fold.changed = False
         return update
-
-    def _encode(self, coreset: Coreset) -> Tuple[Coreset, Optional[int]]:
-        """Quantize-on-send, matching the sources' wire format."""
-        if self.quantizer is None:
-            return coreset, None
-        return (
-            Coreset(
-                self.quantizer.quantize(coreset.points),
-                coreset.weights,
-                coreset.shift,
-            ),
-            int(self.quantizer.significant_bits),
-        )

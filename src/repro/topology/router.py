@@ -1,9 +1,11 @@
 """The :class:`TopologyRouter`: wire sources → aggregators → server.
 
-The router owns a tree run's delivery schedule.  Each batch step it
+The router owns every streaming run's delivery schedule; the star is the
+topology with no aggregators, where every source's parent is the server.
+Each batch step it
 
-1. folds ended sources' window advances into their parents (uncounted, as
-   in the flat path — retirements ship no payload scalars);
+1. folds ended sources' window advances into their parents (outside the
+   ledger — retirements ship no payload scalars);
 2. folds every live source's flushed delta into its parent;
 3. walks the aggregators in ascending level order — every child has
    already emitted — folding each aggregator's upward update into *its*
@@ -15,8 +17,7 @@ The router owns a tree run's delivery schedule.  Each batch step it
 Fault awareness: a dead aggregator takes exactly its subtree with it.  Its
 descendants are marked failed (their links lead nowhere), its own last
 shipped bucket stays at its parent as stale-but-valid data, and the rest
-of the tree keeps streaming — mirroring the flat path's dead-source
-semantics one level up.
+of the tree keeps streaming — a dead source's semantics one level up.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from repro.topology.spec import Topology, is_aggregator_id
 
 
 class TopologyRouter:
-    """Delivery router for one tree-topology streaming run.
+    """Delivery router for one streaming run, star or tree.
 
     Parameters
     ----------
     topology:
-        The (non-star) tree; its source ids must match the run's sources.
+        The star or tree; its source ids must match the run's sources.
     sources:
         The run's :class:`StreamingSource`\\ s in index order, already
         constructed to transmit to their topology parent.
@@ -96,7 +97,7 @@ class TopologyRouter:
         network and returns the *source indexes* newly cut off, so the
         engine stops their ingestion.  The parent keeps the dead
         aggregator's last shipped bucket — stale but valid data, exactly
-        like a dead source's last summary in the flat path.
+        like a dead source's last summary.
         """
         severed: List[int] = []
         for agg in self.aggregators:
@@ -118,11 +119,13 @@ class TopologyRouter:
         ledger: Dict[int, List[int]],
         window: Optional[int],
     ) -> None:
-        """Run one step's transmission phase through the tree."""
+        """Run one step's transmission phase through the topology."""
         network = self.network
         # Window advances first, outside the ledger capture: an ended
-        # stream still ages while others ingest, and its retirements ship
-        # no payload scalars — matching the flat path's accounting.
+        # stream still ages while others ingest — its out-of-window buckets
+        # must leave the parent's view (and the query cost) in lockstep —
+        # and its retirements ship no payload scalars.  A failed source
+        # cannot retire anything: its last summary stays as-is.
         if window is not None:
             for source, batch in zip(self.sources, arrivals):
                 if batch is None and not network.is_failed(source.source_id):

@@ -8,8 +8,9 @@ fan_in, depth)`` — source ``i`` always lands on aggregator ``i // fan_in``
 of the first layer, and so on upward — so a fixed (topology, seed) pair
 reproduces bit-identical runs.
 
-The star is the degenerate tree with no aggregators; engines treat it as
-"no topology" and keep the exact flat code path.
+The star is the degenerate tree with no aggregators; the streaming engine
+routes it through the same :class:`~repro.topology.router.TopologyRouter`
+as any tree, with every source folding straight into the server.
 """
 
 from __future__ import annotations
@@ -275,8 +276,8 @@ def resolve_topology(
     num_sources: int,
 ) -> Optional[Topology]:
     """Resolve an engine's ``(topology, fan_in)`` knobs against the actual
-    source count.  Returns ``None`` for the star (engines keep the exact
-    flat code path) and a validated :class:`Topology` otherwise.
+    source count.  Returns ``None`` for the star and a validated
+    :class:`Topology` with at least one aggregator otherwise.
     """
     if isinstance(topology, Topology):
         if fan_in is not None:

@@ -11,6 +11,7 @@ from repro.distributed.network import SimulatedNetwork
 from repro.stages.cr import FSSStage
 from repro.stages.dr import JLStage
 from repro.streaming.server import FoldResult, StreamingServer
+from repro.topology import Topology
 
 D = 12
 BATCH = 32
@@ -133,5 +134,22 @@ class TestGuards:
 
     def test_bare_fan_in_refused(self, batches):
         engine = make_engine(fan_in=2)
+        with pytest.raises(ValueError, match="star"):
+            engine.standalone_source("source-0", batches[0].shape)
+
+    def test_explicit_star_topology_accepted(self, batches):
+        # `run` treats an engine built with Topology.star(m) as a star, so
+        # the client half does too, and builds the default engine's source.
+        explicit = make_engine(topology=Topology.star(4)).standalone_source(
+            "source-0", batches[0].shape
+        )
+        default = make_engine().standalone_source("source-0", batches[0].shape)
+        mine, theirs = explicit.ingest(batches[0], 0), default.ingest(batches[0], 0)
+        np.testing.assert_array_equal(
+            mine.added[0].coreset.points, theirs.added[0].coreset.points
+        )
+
+    def test_explicit_tree_topology_refused(self, batches):
+        engine = make_engine(topology=Topology.balanced(4, 2))
         with pytest.raises(ValueError, match="star"):
             engine.standalone_source("source-0", batches[0].shape)
