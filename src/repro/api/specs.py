@@ -218,7 +218,7 @@ class DataSpec:
     """A named benchmark dataset at a chosen scale.
 
     ``seed`` overrides the generation seed; when unset the experiment's
-    master seed is used (matching the flat CLI, where ``--seed`` seeds both
+    master seed is used (matching the CLI, where ``--seed`` seeds both
     the dataset and the runs).
     """
 
@@ -510,8 +510,8 @@ def apply_axis_overrides(
     spec: ExperimentSpec, overrides: Mapping[str, Any]
 ) -> ExperimentSpec:
     """Rebuild a spec with axis-style overrides applied to the right
-    sections (shared by sweep expansion and the CLI's flags-over-spec-file
-    path).  The new spec re-validates at construction."""
+    sections (shared by sweep expansion and every CLI flag path).  The new
+    spec re-validates at construction."""
     sections: Dict[str, Dict[str, Any]] = {
         "pipeline": {}, "data": {}, "network": {}, "experiment": {},
         "topology": {},

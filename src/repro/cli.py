@@ -1,10 +1,10 @@
 """Command-line interface: declarative experiment runs, sweeps, and reports.
 
-The CLI is built on the typed spec layer (:mod:`repro.api`): every
-invocation — subcommand or legacy flat flags — constructs an
-:class:`~repro.api.ExperimentSpec` and executes it through the experiment
-harness, so flag runs, spec-file runs, and programmatic runs are
-bit-identical.
+The CLI is built on the typed spec layer (:mod:`repro.api`): the experiment
+commands (``run``, the flat form, ``stream`` and ``client``) share one flag
+table whose entries set spec axes, and one function turns the typed flags
+into an :class:`~repro.api.ExperimentSpec`, so flag runs, spec-file runs,
+and programmatic runs are bit-identical.
 
 Example invocations::
 
@@ -22,7 +22,7 @@ Example invocations::
     repro sweep sweep.toml --store results/s.jsonl --resume   # after a crash
     repro store verify results/s.jsonl                # torn/corrupt check
 
-    # legacy flat form (kept working via the spec adapter):
+    # flat form: `repro run` without a spec file, plus --list-algorithms
     python -m repro --dataset mnist --algorithm jl-fss-jl --k 2
     python -m repro --algorithm bklw --sources 10 --net-preset lossy --dropout 3:1
     python -m repro --list-algorithms
@@ -38,7 +38,7 @@ as comparison tables and text CDFs.  The ``stream`` subcommand runs a
 streaming composition over batched arrivals and prints the cost and
 communication of every mid-stream query.
 
-All experiment-shaped commands accept the unreliable-edge simulation flags
+``run`` and ``stream`` accept the unreliable-edge simulation flags
 (``--net-preset``, ``--loss``, ``--retries``, ``--dropout``); degraded runs
 report their participation, retransmissions, and simulated network time.
 """
@@ -46,13 +46,10 @@ report their participation, retransmissions, and simulated network time.
 from __future__ import annotations
 
 import argparse
-from typing import Any, Collection, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro import api
 from repro.core import registry
-from repro.datasets import load_benchmark_dataset
-from repro.distributed.conditions import FaultPlan, NetworkCondition
-from repro.quantization.rounding import RoundingQuantizer
 
 
 #: Where `repro sweep` keeps its stage cache unless --cache-dir overrides it
@@ -74,119 +71,152 @@ def _algorithms() -> Dict[str, tuple]:
 ALGORITHMS = _algorithms()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Create the legacy flat-flag argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Communication-efficient k-means for edge-based machine learning "
-                    "(ICDCS 2020 reproduction).",
-        epilog="Subcommands: `repro run <spec.toml|flags>` executes one "
-               "declarative experiment spec; `repro sweep <sweep.toml>` "
-               "expands an axis grid into paired cells and persists a JSONL "
-               "result store; `repro report <store.jsonl>` renders stored "
-               "records; `repro stream --help` runs a stream-* composition "
-               "over batched arrivals.",
-    )
-    parser.add_argument("--list-algorithms", action="store_true",
-                        help="print the registered compositions and exit")
-    _add_experiment_arguments(parser)
-    return parser
+# ---------------------------------------------------------------------------
+# The experiment flags: one table, one flags → ExperimentSpec path.
+# ---------------------------------------------------------------------------
+
+_ALL = ("run", "stream", "client")
+
+#: Every shared experiment flag, defined once: (flag, spec axis, commands
+#: that take it, argparse options).  The argparse ``dest`` is the axis name
+#: (see :func:`repro.api.axis_names`) and the default is SUPPRESS, so a
+#: parsed namespace holds exactly the typed overrides.
+_FLAGS = (
+    ("--dataset", "dataset", _ALL, {"choices": ("mnist", "neurips"),
+                                    "help": "synthetic benchmark dataset"}),
+    ("--n", "n", _ALL, {"type": int, "help": "dataset cardinality override"}),
+    ("--d", "d", _ALL, {"type": int, "help": "dataset dimension override"}),
+    ("--algorithm", "algorithm", _ALL, {"help": "registered composition to run"}),
+    ("--k", "k", _ALL, {"type": int, "help": "number of clusters"}),
+    ("--runs", "runs", ("run",), {"type": int, "help": "Monte-Carlo repetitions"}),
+    ("--sources", "num_sources", ("run", "stream"),
+     {"type": int, "metavar": "SOURCES",
+      "help": "number of data sources (multi-source and streaming algorithms)"}),
+    ("--strategy", "strategy", ("run",),
+     {"choices": api.PARTITION_STRATEGIES,
+      "help": "shard partition strategy (multi-source algorithms)"}),
+    ("--topology", "topology", ("run", "stream"),
+     {"choices": ("star", "tree"),
+      "help": "aggregation topology (streaming algorithms): star = flat "
+              "source->server fold (default), tree = balanced aggregator tree"}),
+    ("--fan-in", "fan_in", ("run", "stream"),
+     {"type": int, "help": "children per aggregator for --topology tree "
+                           "(implies --topology tree when given alone)"}),
+    ("--batch-size", "batch_size", ("stream", "client"),
+     {"type": int, "help": "rows per timestamped batch"}),
+    ("--window", "window", ("stream", "client"),
+     {"type": int, "help": "sliding window in batches (default: full prefix)"}),
+    ("--query-every", "query_every", ("stream", "client"),
+     {"type": int, "help": "answer a k-means query every N batch steps "
+                           "(default: only at end of stream)"}),
+    ("--coreset-size", "coreset_size", _ALL,
+     {"type": int, "help": "coreset cardinality (single-source and streaming "
+                           "algorithms)"}),
+    ("--total-samples", "total_samples", ("run",),
+     {"type": int, "help": "disSS global sample budget (multi-source algorithms)"}),
+    ("--pca-rank", "pca_rank", _ALL, {"type": int, "help": "PCA / disPCA rank t"}),
+    ("--jl-dimension", "jl_dimension", _ALL,
+     {"type": int, "help": "JL target dimension d'"}),
+    ("--quantize-bits", "quantize_bits", _ALL,
+     {"type": int, "help": "significant bits kept by the rounding quantizer "
+                           "(default: no quantization)"}),
+    ("--jobs", "jobs", ("run", "stream"),
+     {"type": int, "help": "worker threads for per-source computation "
+                           "(multi-source and streaming algorithms; 1 = "
+                           "sequential, 0 = all cores; results are identical "
+                           "either way)"}),
+    ("--seed", "seed", _ALL,
+     {"type": int, "help": "master random seed"}),
+    ("--net-preset", "net", ("run", "stream"),
+     {"choices": registry.network_preset_names(),
+      "help": "simulated network condition preset"}),
+    ("--loss", "loss", ("run", "stream"),
+     {"type": float, "help": "override the per-message Bernoulli loss "
+                             "probability of every link (0 <= loss < 1)"}),
+    ("--retries", "retries", ("run", "stream"),
+     {"type": int, "help": "override the per-message retransmission budget "
+                           "(every attempt is metered)"}),
+    ("--dropout", "dropout", ("run", "stream"),
+     {"action": "append", "metavar": "SOURCE[:ROUND]",
+      "help": "drop source SOURCE (index) permanently at protocol round / "
+              "batch step ROUND (default 0); repeatable"}),
+)
+
+#: Each command's defaults, by spec axis.  A default applies only when the
+#: algorithm's kind takes it (see :func:`_kind_defaults`); a client is one
+#: source.
+_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    "run": {"dataset": "mnist", "algorithm": "jl-fss-jl", "k": 2, "runs": 1,
+           "num_sources": 10, "strategy": "random", "coreset_size": 300,
+           "total_samples": 300, "seed": 0, "net": "ideal"},
+    "stream": {"dataset": "mnist", "algorithm": "stream-fss", "k": 2,
+              "num_sources": 4, "batch_size": 512, "coreset_size": 300,
+              "seed": 0, "net": "ideal"},
+    "client": {"dataset": "mnist", "algorithm": "stream-fss", "k": 2,
+              "num_sources": 1, "batch_size": 512, "coreset_size": 300,
+              "seed": 0},
+}
+
+_AXES = frozenset(api.axis_names())
 
 
-def _add_experiment_arguments(parser: argparse.ArgumentParser,
-                              suppress_defaults: bool = False) -> None:
-    """The flat experiment flags, shared by the legacy form and `repro run`.
+def _add_experiment_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add the table's flags that ``command`` takes, with SUPPRESS defaults."""
+    defaults = _DEFAULTS[command]
+    streaming = True if command != "run" else None
+    for flag, axis, commands, options in _FLAGS:
+        if command not in commands:
+            continue
+        options = dict(options, dest=axis, default=argparse.SUPPRESS)
+        if axis == "algorithm":
+            options["choices"] = registry.registered_names(streaming=streaming)
+        if axis in defaults:
+            options["help"] += f" (default: {defaults[axis]})"
+        parser.add_argument(flag, **options)
 
-    With ``suppress_defaults`` the parser records only flags the user
-    actually typed (so spec-file values are not clobbered by defaults).
+
+def _kind_defaults(defaults: Dict[str, Any], algorithm: str) -> Dict[str, Any]:
+    """``defaults`` minus the ones ``algorithm``'s kind does not take: a
+    command carries both ``coreset_size`` and ``total_samples``, and a source
+    count that single-source compositions have no use for."""
+    takes = set(registry.accepted_kwargs(algorithm))
+    if registry.is_multi_source(algorithm):
+        takes.add("num_sources")
+    foreign = {"num_sources", "coreset_size", "total_samples"} - takes
+    return {axis: value for axis, value in defaults.items() if axis not in foreign}
+
+
+def experiment_spec_from_args(
+    args: argparse.Namespace,
+    command: str = "run",
+    base: Optional[api.ExperimentSpec] = None,
+) -> api.ExperimentSpec:
+    """The one flags → ExperimentSpec path of ``run``, the flat form,
+    ``stream`` and ``client``.
+
+    The typed flags are axis overrides (:func:`repro.api.apply_axis_overrides`)
+    of ``base``, a loaded spec file, or — without one — of the command's
+    defaults that the algorithm's kind takes.  Typed flags are never
+    dropped: a kind-foreign ``--total-samples`` fails validation.
+    ``--fan-in`` alone means a tree.  Every mistake is a one-line
+    ``SystemExit``.
     """
-    def default(value):
-        return argparse.SUPPRESS if suppress_defaults else value
-
-    parser.add_argument("--dataset", choices=("mnist", "neurips"),
-                        default=default("mnist"),
-                        help="synthetic benchmark dataset to generate")
-    parser.add_argument("--n", type=int, default=default(None),
-                        help="dataset cardinality override")
-    parser.add_argument("--d", type=int, default=default(None),
-                        help="dataset dimension override")
-    parser.add_argument("--algorithm", choices=registry.registered_names(),
-                        default=default("jl-fss-jl"),
-                        help="registered pipeline composition to run")
-    parser.add_argument("--k", type=int, default=default(2),
-                        help="number of clusters")
-    parser.add_argument("--runs", type=int, default=default(1),
-                        help="Monte-Carlo repetitions")
-    parser.add_argument("--sources", type=int, default=default(10),
-                        help="number of data sources (multi-source algorithms only)")
-    parser.add_argument("--strategy", choices=api.PARTITION_STRATEGIES,
-                        default=default("random"),
-                        help="shard partition strategy (multi-source algorithms)")
-    parser.add_argument("--topology", choices=("star", "tree"),
-                        default=default(None),
-                        help="aggregation topology (streaming algorithms): "
-                             "star = flat source->server fold (default), "
-                             "tree = balanced aggregator tree")
-    parser.add_argument("--fan-in", type=int, default=default(None),
-                        help="children per aggregator for --topology tree "
-                             "(implies --topology tree when given alone)")
-    parser.add_argument("--coreset-size", type=int, default=default(300),
-                        help="coreset cardinality (single-source algorithms)")
-    parser.add_argument("--total-samples", type=int, default=default(300),
-                        help="disSS global sample budget (multi-source algorithms)")
-    parser.add_argument("--pca-rank", type=int, default=default(None),
-                        help="PCA / disPCA rank t")
-    parser.add_argument("--jl-dimension", type=int, default=default(None),
-                        help="JL target dimension d'")
-    parser.add_argument("--quantize-bits", type=int, default=default(None),
-                        help="significant bits kept by the rounding quantizer (default: no quantization)")
-    parser.add_argument("--jobs", type=int, default=default(None),
-                        help="worker threads for per-source computation "
-                             "(multi-source algorithms; 1 = sequential, "
-                             "0 = all cores; results are identical either way)")
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="master random seed")
-    _add_network_arguments(parser, suppress_defaults=suppress_defaults)
-
-
-def _add_network_arguments(parser: argparse.ArgumentParser,
-                           suppress_defaults: bool = False) -> None:
-    """Unreliable-edge simulation flags shared by every experiment command."""
-    def default(value):
-        return argparse.SUPPRESS if suppress_defaults else value
-
-    group = parser.add_argument_group("network simulation")
-    group.add_argument("--net-preset", choices=registry.network_preset_names(),
-                       default=default("ideal"),
-                       help="simulated network condition preset (default: ideal, "
-                            "the loss-free wire)")
-    group.add_argument("--loss", type=float, default=default(None),
-                       help="override the per-message Bernoulli loss probability "
-                            "of every link (0 <= loss < 1)")
-    group.add_argument("--retries", type=int, default=default(None),
-                       help="override the per-message retransmission budget "
-                            "(every attempt is metered)")
-    group.add_argument("--dropout", action="append", default=default(None),
-                       metavar="SOURCE[:ROUND]",
-                       help="drop source SOURCE (index) permanently at protocol "
-                            "round / batch step ROUND (default 0); repeatable")
-
-
-def _network_settings(args: argparse.Namespace) -> Dict[str, object]:
-    """Resolve the network flags into create_pipeline keyword arguments."""
-    return _network_spec_from_args(args).to_kwargs(getattr(args, "seed", 0))
-
-
-def _network_spec_from_args(args: argparse.Namespace) -> api.NetworkSpec:
+    overrides = {axis: value for axis, value in vars(args).items() if axis in _AXES}
+    where = "experiment flags" if base is None else f"override for {args.spec}"
     try:
-        return api.NetworkSpec(
-            preset=getattr(args, "net_preset", "ideal"),
-            loss=getattr(args, "loss", None),
-            retries=getattr(args, "retries", None),
-            dropout=tuple(getattr(args, "dropout", None) or ()),
-        )
-    except ValueError as exc:  # bad --loss / --dropout grammar etc.
-        raise SystemExit(str(exc)) from None
+        if "fan_in" in overrides and overrides.setdefault("topology", "tree") == "star":
+            raise ValueError("--fan-in applies only to --topology tree")
+        if base is None:
+            defaults = _DEFAULTS[command]
+            algorithm = overrides.get("algorithm", defaults["algorithm"])
+            overrides = {**_kind_defaults(defaults, algorithm), **overrides}
+            base = api.ExperimentSpec(
+                pipeline=api.PipelineConfig(algorithm=algorithm, k=overrides["k"]),
+                num_sources=overrides.get("num_sources"),
+            )
+        return api.apply_axis_overrides(base, overrides)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid {where}: {exc}") from None
 
 
 def _print_degradation(report) -> None:
@@ -215,69 +245,72 @@ def list_algorithms() -> str:
 
 
 # ---------------------------------------------------------------------------
-# The flags → ExperimentSpec adapter (legacy flat form and `repro run` flags).
+# `repro run` (and the flat form): one experiment from a spec file or flags.
 # ---------------------------------------------------------------------------
 
-#: Flat experiment flags that are PipelineConfig knobs (argparse derives the
-#: attribute names from the flags, so flag attr == knob name).
-_FLAG_KNOBS = (
-    "coreset_size", "total_samples", "pca_rank", "jl_dimension",
-    "quantize_bits", "jobs",
-)
+def build_run_parser(flat: bool = False) -> argparse.ArgumentParser:
+    """Argument parser of ``repro run`` (exposed separately for testing).
 
-
-def experiment_spec_from_args(
-    args: argparse.Namespace,
-    typed: Collection[str] = frozenset(),
-) -> api.ExperimentSpec:
-    """The thin legacy adapter: flat CLI flags → typed ExperimentSpec.
-
-    Knob flags that the chosen algorithm's kind does not accept are dropped
-    (the flat form always carries defaults for both kinds, e.g.
-    ``--coreset-size`` *and* ``--total-samples``) — unless the user
-    explicitly typed them (``typed``, the `repro run` path), in which case
-    they reach PipelineConfig and fail eager validation instead of being
-    silently ignored.
+    ``flat=True`` builds the flat form ``repro [flags]``: ``repro run``
+    without a spec file or ``--store``, plus ``--list-algorithms``.
     """
-    algorithm = args.algorithm
-    accepted = set(registry.accepted_kwargs(algorithm))
-    knobs: Dict[str, Any] = {}
-    for knob in _FLAG_KNOBS:
-        value = getattr(args, knob, None)
-        if value is None:
-            continue
-        kwarg = "quantizer" if knob == "quantize_bits" else knob
-        if kwarg in accepted or knob in typed:
-            knobs[knob] = value
-    kind = registry.factory_kind(algorithm)
-    return api.ExperimentSpec(
-        pipeline=api.PipelineConfig(algorithm=algorithm, k=args.k, **knobs),
-        data=api.DataSpec(name=args.dataset, n=args.n, d=args.d),
-        network=_network_spec_from_args(args),
-        runs=getattr(args, "runs", 1),
-        seed=args.seed,
-        num_sources=args.sources if kind != "single-source" else None,
-        strategy=getattr(args, "strategy", "random"),
-        topology=_topology_spec_from_args(args),
-    )
+    if flat:
+        parser = argparse.ArgumentParser(
+            prog="repro",
+            description="Communication-efficient k-means for edge-based "
+                        "machine learning (ICDCS 2020 reproduction).",
+            epilog="Subcommands: `repro run <spec.toml|flags>` executes one "
+                   "declarative experiment spec; `repro sweep <sweep.toml>` "
+                   "expands an axis grid into paired cells and persists a "
+                   "JSONL result store; `repro report <store.jsonl>` renders "
+                   "stored records; `repro stream --help` runs a stream-* "
+                   "composition over batched arrivals.",
+        )
+        parser.add_argument("--list-algorithms", action="store_true",
+                            help="print the registered compositions and exit")
+        parser.set_defaults(spec=None, store=None)
+    else:
+        parser = argparse.ArgumentParser(
+            prog="repro run",
+            description="Run one declarative experiment: from a .toml/.json "
+                        "spec file, from flat flags, or from a spec file with "
+                        "flag overrides on top.",
+        )
+        parser.add_argument("spec", nargs="?", default=None,
+                            help="experiment spec file (.toml or .json); omit "
+                                 "to build the spec from flags")
+        parser.add_argument("--store", default=None, metavar="PATH",
+                            help="append the run record to this JSONL result "
+                                 "store")
+    _add_experiment_flags(parser, "run")
+    return parser
 
 
-def _topology_spec_from_args(args: argparse.Namespace) -> Optional[api.TopologySpec]:
-    """Resolve ``--topology`` / ``--fan-in`` (``--fan-in`` alone implies a
-    tree; neither flag means "no topology section" — the flat star)."""
-    kind = getattr(args, "topology", None)
-    fan_in = getattr(args, "fan_in", None)
-    if kind is None and fan_in is None:
-        return None
-    if kind is None:
-        kind = "tree"
-    return api.TopologySpec(kind=kind, fan_in=fan_in)
+def _load_spec_or_exit(path: str):
+    """Resolve a spec file, converting ordinary user mistakes (missing
+    file, malformed TOML/JSON, invalid spec values) into a clean one-line
+    CLI error instead of a traceback."""
+    try:
+        return api.load_spec(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read spec file {path}: {exc}") from None
+    except ValueError as exc:  # covers TOML/JSON decode + spec validation
+        raise SystemExit(f"invalid spec {path}: {exc}") from None
+    except RuntimeError as exc:  # TOML specs on Python < 3.11 (no tomllib)
+        raise SystemExit(f"cannot load spec {path}: {exc}") from None
 
 
-def _execute_spec(spec: api.ExperimentSpec,
-                  store_path: Optional[str] = None) -> Dict[str, float]:
-    """Run one experiment spec, print the paper's metrics, and return the
-    summary row (shared by the legacy flat form and `repro run`)."""
+def run_spec(args: argparse.Namespace) -> Dict[str, float]:
+    """Execute ``repro run``: resolve the spec, apply the typed flags, run,
+    print the paper's metrics, and return the summary row."""
+    base = None
+    if args.spec is not None:
+        base = _load_spec_or_exit(args.spec)
+        if isinstance(base, api.SweepSpec):
+            raise SystemExit(
+                f"{args.spec} is a sweep spec; run it with `repro sweep {args.spec}`"
+            )
+    spec = experiment_spec_from_args(args, "run", base)
     points, dataset = spec.data.load(spec.seed)
     print(f"dataset: {dataset.name} (n={dataset.n}, d={dataset.d}), "
           f"algorithm: {spec.pipeline.algorithm}, k={spec.pipeline.k}, "
@@ -304,103 +337,13 @@ def _execute_spec(spec: api.ExperimentSpec,
               f"{summary.total_messages_lost} lost messages, "
               f"{summary.mean_simulated_network_seconds:.3f}s mean simulated "
               f"network time")
-    if store_path:
+    if args.store:
         try:
-            record = api.ResultStore(store_path).append(outcome.to_record())
+            record = api.ResultStore(args.store).append(outcome.to_record())
         except OSError as exc:
-            raise SystemExit(f"cannot write store {store_path}: {exc}") from None
-        print(f"stored run record {record.spec_hash} -> {store_path}")
+            raise SystemExit(f"cannot write store {args.store}: {exc}") from None
+        print(f"stored run record {record.spec_hash} -> {args.store}")
     return row
-
-
-def run(args: argparse.Namespace) -> Dict[str, float]:
-    """Execute the experiment described by legacy flat arguments.
-
-    Returns the summary row (also printed) so programmatic callers and tests
-    can inspect it.
-    """
-    return _execute_spec(experiment_spec_from_args(args))
-
-
-# ---------------------------------------------------------------------------
-# `repro run`: spec-file (or flag-built) single experiment.
-# ---------------------------------------------------------------------------
-
-def build_run_parser() -> argparse.ArgumentParser:
-    """Argument parser of ``repro run`` (exposed separately for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro run",
-        description="Run one declarative experiment: from a .toml/.json spec "
-                    "file, from flat flags, or from a spec file with flag "
-                    "overrides on top.",
-    )
-    parser.add_argument("spec", nargs="?", default=None,
-                        help="experiment spec file (.toml or .json); omit to "
-                             "build the spec from flags")
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        help="append the run record to this JSONL result store")
-    _add_experiment_arguments(parser, suppress_defaults=True)
-    return parser
-
-
-#: `repro run` flag attribute → spec override axis (see repro.api.axis_names).
-_OVERRIDE_AXES = (
-    ("dataset", "dataset"), ("n", "n"), ("d", "d"),
-    ("algorithm", "algorithm"), ("k", "k"), ("runs", "runs"),
-    ("sources", "num_sources"), ("strategy", "strategy"),
-    ("coreset_size", "coreset_size"), ("total_samples", "total_samples"),
-    ("pca_rank", "pca_rank"), ("jl_dimension", "jl_dimension"),
-    ("quantize_bits", "quantize_bits"), ("jobs", "jobs"), ("seed", "seed"),
-    ("net_preset", "net"), ("loss", "loss"), ("retries", "retries"),
-    ("dropout", "dropout"),
-    ("topology", "topology"), ("fan_in", "fan_in"),
-)
-
-
-def _load_spec_or_exit(path: str):
-    """Resolve a spec file, converting ordinary user mistakes (missing
-    file, malformed TOML/JSON, invalid spec values) into a clean one-line
-    CLI error instead of a traceback."""
-    try:
-        return api.load_spec(path)
-    except OSError as exc:
-        raise SystemExit(f"cannot read spec file {path}: {exc}") from None
-    except ValueError as exc:  # covers TOML/JSON decode + spec validation
-        raise SystemExit(f"invalid spec {path}: {exc}") from None
-    except RuntimeError as exc:  # TOML specs on Python < 3.11 (no tomllib)
-        raise SystemExit(f"cannot load spec {path}: {exc}") from None
-
-
-def run_spec(args: argparse.Namespace) -> Dict[str, float]:
-    """Execute ``repro run``: resolve the spec, apply overrides, run."""
-    if args.spec is not None:
-        loaded = _load_spec_or_exit(args.spec)
-        if isinstance(loaded, api.SweepSpec):
-            raise SystemExit(
-                f"{args.spec} is a sweep spec; run it with `repro sweep {args.spec}`"
-            )
-        overrides = {
-            axis: tuple(getattr(args, attr)) if attr == "dropout" else getattr(args, attr)
-            for attr, axis in _OVERRIDE_AXES
-            if hasattr(args, attr) and getattr(args, attr) is not None
-        }
-        try:
-            spec = api.apply_axis_overrides(loaded, overrides) if overrides else loaded
-        except ValueError as exc:
-            raise SystemExit(f"invalid override for {args.spec}: {exc}") from None
-    else:
-        defaults = build_parser().parse_args([])
-        merged = vars(defaults).copy()
-        merged.update(vars(args))
-        try:
-            # vars(args) holds only the flags the user typed (SUPPRESS
-            # defaults), so kind-foreign knobs among them raise.
-            spec = experiment_spec_from_args(
-                argparse.Namespace(**merged), typed=set(vars(args))
-            )
-        except ValueError as exc:
-            raise SystemExit(f"invalid experiment flags: {exc}") from None
-    return _execute_spec(spec, store_path=args.store)
 
 
 # ---------------------------------------------------------------------------
@@ -662,45 +605,7 @@ def build_stream_parser() -> argparse.ArgumentParser:
                     "batches into merge-and-reduce coreset trees; the server "
                     "answers queries at any point in the stream.",
     )
-    parser.add_argument("--dataset", choices=("mnist", "neurips"), default="mnist",
-                        help="synthetic benchmark dataset to stream")
-    parser.add_argument("--n", type=int, default=None, help="dataset cardinality override")
-    parser.add_argument("--d", type=int, default=None, help="dataset dimension override")
-    parser.add_argument("--algorithm",
-                        choices=registry.registered_names(streaming=True),
-                        default="stream-fss",
-                        help="registered streaming composition to run")
-    parser.add_argument("--k", type=int, default=2, help="number of clusters")
-    parser.add_argument("--sources", type=int, default=4,
-                        help="number of concurrently streaming data sources")
-    parser.add_argument("--topology", choices=("star", "tree"), default=None,
-                        help="aggregation topology: star = flat source->server "
-                             "fold (default), tree = balanced aggregator tree")
-    parser.add_argument("--fan-in", type=int, default=None,
-                        help="children per aggregator for --topology tree "
-                             "(implies --topology tree when given alone)")
-    parser.add_argument("--batch-size", type=int, default=512,
-                        help="rows per timestamped batch")
-    parser.add_argument("--window", type=int, default=None,
-                        help="sliding window in batches (default: full prefix)")
-    parser.add_argument("--query-every", type=int, default=None,
-                        help="answer a k-means query every N batch steps "
-                             "(default: only at end of stream)")
-    parser.add_argument("--coreset-size", type=int, default=300,
-                        help="per-bucket coreset cardinality")
-    parser.add_argument("--pca-rank", type=int, default=None,
-                        help="FSS intrinsic rank t")
-    parser.add_argument("--jl-dimension", type=int, default=None,
-                        help="JL target dimension d'")
-    parser.add_argument("--quantize-bits", type=int, default=None,
-                        help="significant bits kept by the rounding quantizer "
-                             "(default: no quantization)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for per-source batch compression "
-                             "(1 = sequential, 0 = all cores; results are "
-                             "identical either way)")
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    _add_network_arguments(parser)
+    _add_experiment_flags(parser, "stream")
     return parser
 
 
@@ -713,51 +618,24 @@ def run_stream(args: argparse.Namespace) -> Dict[str, float]:
     from repro.metrics.evaluation import EvaluationContext, evaluate_report
     from repro.quantization.bits import DOUBLE_PRECISION_BITS
 
-    if args.topology == "tree" and args.fan_in is None:
-        raise SystemExit("--topology tree requires --fan-in")
-    if args.topology == "star" and args.fan_in is not None:
-        raise SystemExit("--fan-in applies only to --topology tree")
-    points, spec = load_benchmark_dataset(args.dataset, n=args.n, d=args.d, seed=args.seed)
-    quantizer: Optional[RoundingQuantizer] = None
-    if args.quantize_bits is not None and args.quantize_bits < 53:
-        quantizer = RoundingQuantizer(args.quantize_bits)
-    try:
-        # create_pipeline is strict by default: a knob the composition does
-        # not accept is an error, not a silent drop.
-        engine = registry.create_pipeline(
-            args.algorithm,
-            k=args.k,
-            coreset_size=args.coreset_size,
-            pca_rank=args.pca_rank,
-            jl_dimension=args.jl_dimension,
-            quantizer=quantizer,
-            batch_size=args.batch_size,
-            window=args.window,
-            query_every=args.query_every,
-            seed=args.seed,
-            jobs=getattr(args, "jobs", None),
-            topology=(
-                "tree"
-                if args.topology is None and args.fan_in is not None
-                else args.topology
-            ),
-            fan_in=args.fan_in,
-            **_network_settings(args),
-        )
-    except TypeError as exc:
-        raise SystemExit(f"invalid flags for {args.algorithm}: {exc}") from None
-    topology_note = (
-        f", topology=tree(fan_in={args.fan_in})" if args.fan_in is not None else ""
-    )
-    print(f"dataset: {spec.name} (n={spec.n}, d={spec.d}), algorithm: {args.algorithm}, "
-          f"k={args.k}, sources={args.sources}, batch={args.batch_size}, "
+    spec = experiment_spec_from_args(args, "stream")
+    config = spec.pipeline
+    points, dataset = spec.data.load(spec.seed)
+    engine = registry.create_pipeline(config.algorithm, k=config.k, seed=spec.seed,
+                                      **spec.overrides())
+    fan_in = spec.topology.fan_in if spec.topology is not None else None
+    topology_note = f", topology=tree(fan_in={fan_in})" if fan_in is not None else ""
+    print(f"dataset: {dataset.name} (n={dataset.n}, d={dataset.d}), "
+          f"algorithm: {config.algorithm}, k={config.k}, "
+          f"sources={spec.num_sources}, batch={config.batch_size}, "
           f"window={engine.window if engine.window is not None else 'none'}"
           f"{topology_note}")
 
-    report = engine.run_on_dataset(points, num_sources=args.sources, partition_seed=args.seed)
+    report = engine.run_on_dataset(points, num_sources=spec.num_sources,
+                                   partition_seed=spec.seed)
 
-    context = EvaluationContext.build(points, args.k, seed=args.seed)
-    raw_bits = DOUBLE_PRECISION_BITS * spec.n * spec.d
+    context = EvaluationContext.build(points, config.k, seed=spec.seed)
+    raw_bits = DOUBLE_PRECISION_BITS * dataset.n * dataset.d
     print(f"{'step':>6} {'norm. cost':>12} {'norm. comm':>12} {'summary':>9} {'buckets':>9}")
     for query in report.queries:
         cost = kmeans_cost(points, query.centers)
@@ -881,7 +759,9 @@ def build_client_parser() -> argparse.ArgumentParser:
         description="Drive one streaming source against a live `repro "
                     "serve` daemon: compress batches locally with a "
                     "registered stream-* composition, uplink the bucket "
-                    "deltas until acked, and query mid-stream.",
+                    "deltas until acked, and query mid-stream.  Clients "
+                    "sharing a tenant must share --seed so their DR maps "
+                    "agree.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="daemon address")
     parser.add_argument("--port", type=int, required=True, help="daemon port")
@@ -889,35 +769,10 @@ def build_client_parser() -> argparse.ArgumentParser:
                         help="tenant whose server folds this stream")
     parser.add_argument("--source-id", default="source-0",
                         help="this client's registered source identity")
-    parser.add_argument("--dataset", choices=("mnist", "neurips"), default="mnist",
-                        help="synthetic benchmark dataset to stream")
-    parser.add_argument("--n", type=int, default=None, help="dataset cardinality override")
-    parser.add_argument("--d", type=int, default=None, help="dataset dimension override")
-    parser.add_argument("--algorithm",
-                        choices=registry.registered_names(streaming=True),
-                        default="stream-fss",
-                        help="streaming composition applied to every batch")
-    parser.add_argument("--k", type=int, default=2, help="number of clusters")
-    parser.add_argument("--batch-size", type=int, default=512,
-                        help="rows per uplinked batch")
     parser.add_argument("--batches", type=int, default=None,
                         help="stop after this many batches (default: stream "
                              "the whole dataset)")
-    parser.add_argument("--coreset-size", type=int, default=300,
-                        help="per-bucket coreset cardinality")
-    parser.add_argument("--pca-rank", type=int, default=None,
-                        help="FSS intrinsic rank t")
-    parser.add_argument("--jl-dimension", type=int, default=None,
-                        help="JL target dimension d'")
-    parser.add_argument("--quantize-bits", type=int, default=None,
-                        help="significant bits kept by the rounding quantizer")
-    parser.add_argument("--window", type=int, default=None,
-                        help="sliding window in batches")
-    parser.add_argument("--query-every", type=int, default=None,
-                        help="query the daemon every N delivered batches")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed (clients sharing a tenant must "
-                             "share it so their DR maps agree)")
+    _add_experiment_flags(parser, "client")
     parser.add_argument("--timeout", type=float, default=10.0,
                         help="per-request socket timeout in seconds")
     parser.add_argument("--retry-deadline", type=float, default=30.0,
@@ -931,34 +786,20 @@ def run_client(args: argparse.Namespace) -> Dict[str, float]:
     from repro.datasets.streams import iter_batches
     from repro.serve.client import ServeClient, ServeError, ServeSource
 
-    points, spec = load_benchmark_dataset(args.dataset, n=args.n, d=args.d,
-                                          seed=args.seed)
-    quantizer: Optional[RoundingQuantizer] = None
-    if args.quantize_bits is not None and args.quantize_bits < 53:
-        quantizer = RoundingQuantizer(args.quantize_bits)
-    try:
-        engine = registry.create_pipeline(
-            args.algorithm,
-            k=args.k,
-            coreset_size=args.coreset_size,
-            pca_rank=args.pca_rank,
-            jl_dimension=args.jl_dimension,
-            quantizer=quantizer,
-            batch_size=args.batch_size,
-            window=args.window,
-            seed=args.seed,
-        )
-    except TypeError as exc:
-        raise SystemExit(f"invalid flags for {args.algorithm}: {exc}") from None
-    batches = list(iter_batches(points, args.batch_size))
+    spec = experiment_spec_from_args(args, "client")
+    config = spec.pipeline
+    points, dataset = spec.data.load(spec.seed)
+    engine = registry.create_pipeline(config.algorithm, k=config.k, seed=spec.seed,
+                                      **spec.overrides())
+    batches = list(iter_batches(points, config.batch_size))
     if args.batches is not None:
         batches = batches[: args.batches]
     if not batches:
         raise SystemExit("the dataset yielded no batches")
     source = engine.standalone_source(args.source_id, batches[0].shape)
 
-    print(f"dataset: {spec.name} (n={spec.n}, d={spec.d}), "
-          f"algorithm: {args.algorithm}, source: {args.source_id}, "
+    print(f"dataset: {dataset.name} (n={dataset.n}, d={dataset.d}), "
+          f"algorithm: {config.algorithm}, source: {args.source_id}, "
           f"tenant: {args.tenant}, batches: {len(batches)}")
     applied = duplicates = queries = 0
     try:
@@ -973,11 +814,9 @@ def run_client(args: argparse.Namespace) -> Dict[str, float]:
                     applied += 1
                 else:
                     duplicates += 1
-                if (args.query_every is not None
-                        and (index + 1) % args.query_every == 0):
+                if config.query_every is not None and (index + 1) % config.query_every == 0:
                     queries += _print_query_row(serve_source, index)
-            queries += _print_query_row(serve_source, len(batches) - 1,
-                                             final=True)
+            queries += _print_query_row(serve_source, len(batches) - 1, final=True)
     except ServeError as exc:
         raise SystemExit(f"server rejected the stream: {exc}") from None
     except (OSError, ConnectionError) as exc:
@@ -1034,12 +873,11 @@ def main(argv=None) -> int:
         build_subparser, execute = _SUBCOMMANDS[argv[0]]
         execute(build_subparser().parse_args(argv[1:]))
         return 0
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_run_parser(flat=True).parse_args(argv)
     if args.list_algorithms:
         print(list_algorithms())
         return 0
-    run(args)
+    run_spec(args)
     return 0
 
 

@@ -150,11 +150,26 @@ class Coreset:
 
 
 def merge_coresets(coresets) -> Coreset:
-    """Merge an iterable of coresets into one (distributed-setting helper)."""
+    """Merge an iterable of coresets into one (distributed-setting helper).
+
+    The result equals folding :meth:`Coreset.merged_with` left to right, but
+    every point and weight is copied once: O(total rows) rather than O(B²)
+    rows over B coresets, with one validation.  A single coreset is returned
+    as is.
+    """
     coresets = list(coresets)
     if not coresets:
         raise ValueError("cannot merge an empty collection of coresets")
-    merged = coresets[0]
-    for nxt in coresets[1:]:
-        merged = merged.merged_with(nxt)
-    return merged
+    first = coresets[0]
+    if len(coresets) == 1:
+        return first
+    for other in coresets[1:]:
+        if other.dimension != first.dimension:
+            raise ValueError(
+                f"cannot merge coresets of dimension {first.dimension} and {other.dimension}"
+            )
+    return Coreset(
+        np.concatenate([c.points for c in coresets]),
+        np.concatenate([c.weights for c in coresets]),
+        sum((c.shift for c in coresets[1:]), first.shift),
+    )

@@ -7,71 +7,70 @@ import pytest
 from repro import api
 from repro.cli import (
     ALGORITHMS,
-    build_parser,
     build_report_parser,
     build_run_parser,
     build_stream_parser,
     build_sweep_parser,
     experiment_spec_from_args,
     main,
-    run,
+    run_spec,
     run_stream,
 )
 
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.dataset == "mnist"
-        assert args.algorithm == "jl-fss-jl"
-        assert args.k == 2
-        assert args.runs == 1
+        spec = experiment_spec_from_args(build_run_parser(flat=True).parse_args([]))
+        assert spec.data.name == "mnist"
+        assert spec.pipeline.algorithm == "jl-fss-jl"
+        assert spec.pipeline.k == 2
+        assert spec.runs == 1
 
     def test_all_algorithms_accepted(self):
-        parser = build_parser()
+        parser = build_run_parser(flat=True)
         for name in ALGORITHMS:
             args = parser.parse_args(["--algorithm", name])
             assert args.algorithm == name
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--algorithm", "quantum"])
+            build_run_parser(flat=True).parse_args(["--algorithm", "quantum"])
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--dataset", "imagenet"])
+            build_run_parser(flat=True).parse_args(["--dataset", "imagenet"])
 
 
 class TestRun:
     def test_single_source_run(self, capsys):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--dataset", "mnist", "--n", "300", "--d", "64",
             "--algorithm", "jl-fss", "--coreset-size", "60", "--runs", "1",
             "--seed", "3",
         ])
-        row = run(args)
+        row = run_spec(args)
         captured = capsys.readouterr().out
         assert "normalized k-means cost" in captured
         assert row["normalized_cost"] > 0
         assert 0 < row["normalized_communication"] < 1
 
     def test_multi_source_run(self, capsys):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--dataset", "neurips", "--n", "240", "--d", "120",
             "--algorithm", "bklw", "--sources", "3", "--total-samples", "40",
             "--pca-rank", "5", "--runs", "1", "--seed", "4",
         ])
-        row = run(args)
+        row = run_spec(args)
         assert row["normalized_cost"] > 0
         assert "normalized communication" in capsys.readouterr().out
 
     def test_quantized_run(self):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--dataset", "mnist", "--n", "300", "--d", "64",
             "--algorithm", "jl-fss-jl", "--coreset-size", "60",
             "--quantize-bits", "8", "--seed", "5",
         ])
-        row = run(args)
+        row = run_spec(args)
         assert row["normalized_communication"] < 1
 
     def test_main_returns_zero(self):
@@ -83,11 +82,11 @@ class TestRun:
 
 class TestStreamSubcommand:
     def test_defaults(self):
-        args = build_stream_parser().parse_args([])
-        assert args.algorithm == "stream-fss"
-        assert args.batch_size == 512
-        assert args.window is None
-        assert args.query_every is None
+        spec = experiment_spec_from_args(build_stream_parser().parse_args([]), "stream")
+        assert spec.pipeline.algorithm == "stream-fss"
+        assert spec.pipeline.batch_size == 512
+        assert spec.pipeline.window is None
+        assert spec.pipeline.query_every is None
 
     def test_only_streaming_algorithms_accepted(self):
         parser = build_stream_parser()
@@ -165,10 +164,26 @@ d = 30
 quantize_bits = [8, 12]
 """
 
+STREAM_SPEC_TOML = """\
+seed = 2
+num_sources = 4
+
+[pipeline]
+algorithm = "stream-fss"
+k = 2
+coreset_size = 20
+batch_size = 50
+
+[data]
+name = "mnist"
+n = 200
+d = 10
+"""
+
 
 class TestSpecAdapter:
     def test_flat_flags_build_a_valid_spec(self):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--algorithm", "jl-fss", "--n", "300", "--d", "64",
             "--coreset-size", "60", "--runs", "2", "--seed", "3",
         ])
@@ -182,7 +197,7 @@ class TestSpecAdapter:
         assert spec.runs == 2 and spec.seed == 3
 
     def test_multi_source_flags_set_num_sources(self):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--algorithm", "bklw", "--sources", "4", "--total-samples", "50",
         ])
         spec = experiment_spec_from_args(args)
@@ -191,7 +206,7 @@ class TestSpecAdapter:
         assert spec.pipeline.coreset_size is None
 
     def test_network_flags_reach_the_spec(self):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--algorithm", "bklw", "--net-preset", "lossy", "--loss", "0.1",
             "--dropout", "2:1",
         ])
@@ -201,7 +216,7 @@ class TestSpecAdapter:
         assert spec.network.dropout == ("2:1",)
 
     def test_bad_dropout_is_a_system_exit(self):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--algorithm", "bklw", "--dropout", "banana",
         ])
         with pytest.raises(SystemExit):
@@ -249,6 +264,30 @@ class TestRunSubcommand:
         path.write_text(SWEEP_TOML)
         with pytest.raises(SystemExit, match="repro sweep"):
             main(["run", str(path)])
+
+    def test_spec_file_fan_in_implies_tree(self, tmp_path):
+        spec_path = tmp_path / "spec.toml"
+        spec_path.write_text(STREAM_SPEC_TOML)
+        store_path = tmp_path / "run.jsonl"
+        assert main(["run", str(spec_path), "--fan-in", "2",
+                     "--store", str(store_path)]) == 0
+        (record,) = api.ResultStore(store_path).load()
+        assert record.spec["topology"] == {"kind": "tree", "fan_in": 2}
+
+    def test_typed_sources_reach_the_spec_on_every_path(self, tmp_path):
+        # One rule for both paths: a typed flag is never dropped, so a
+        # --sources typed on a single-source algorithm is stored (and the
+        # single-source run ignores it) whether or not a spec file is given.
+        spec_path = tmp_path / "spec.toml"
+        spec_path.write_text(SPEC_TOML)
+        flags_store, file_store = tmp_path / "flags.jsonl", tmp_path / "file.jsonl"
+        assert main(["run", "--algorithm", "jl-fss", "--sources", "4",
+                     "--n", "200", "--d", "30", "--store", str(flags_store)]) == 0
+        assert main(["run", str(spec_path), "--sources", "4",
+                     "--store", str(file_store)]) == 0
+        for store_path in (flags_store, file_store):
+            (record,) = api.ResultStore(store_path).load()
+            assert record.spec["num_sources"] == 4
 
     def test_run_parser_suppresses_defaults(self):
         args = build_run_parser().parse_args(["spec.toml"])
@@ -418,6 +457,35 @@ class TestCleanCliErrors:
     def test_invalid_flags_only_run(self):
         with pytest.raises(SystemExit, match="invalid experiment flags"):
             main(["run", "--algorithm", "fss", "--k", "0"])
+
+    def test_stream_zero_k(self):
+        with pytest.raises(SystemExit, match="k must be a positive integer"):
+            main(["stream", "--k", "0", "--n", "200", "--d", "10"])
+
+    def test_stream_fan_in_below_two(self):
+        with pytest.raises(SystemExit, match="fan_in must be >= 2"):
+            main(["stream", "--fan-in", "1", "--n", "200", "--d", "10"])
+
+    def test_flat_form_zero_k(self):
+        with pytest.raises(SystemExit, match="k must be a positive integer"):
+            main(["--k", "0", "--n", "200", "--d", "10"])
+
+    def test_client_validates_before_connecting(self):
+        # Port 1 has no daemon: the flag error must come first.
+        with pytest.raises(SystemExit, match="query_every must be a positive"):
+            main(["client", "--port", "1", "--query-every", "0",
+                  "--n", "200", "--d", "10"])
+
+    def test_flat_form_rejects_typed_kind_foreign_knob(self):
+        with pytest.raises(SystemExit, match="total_samples"):
+            main(["--algorithm", "fss", "--total-samples", "99",
+                  "--n", "200", "--d", "10"])
+
+    def test_star_with_fan_in_over_spec_file(self, tmp_path):
+        path = tmp_path / "spec.toml"
+        path.write_text(STREAM_SPEC_TOML)
+        with pytest.raises(SystemExit, match="--fan-in applies only to --topology tree"):
+            main(["run", str(path), "--topology", "star", "--fan-in", "2"])
 
     def test_sweep_missing_file(self):
         with pytest.raises(SystemExit, match="cannot read spec file"):

@@ -1,5 +1,7 @@
 """Tests for repro.cr.coreset — the (S, Δ, w) data structure."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,53 @@ class TestCoresetTransformations:
     def test_merge_empty_collection_raises(self):
         with pytest.raises(ValueError):
             merge_coresets([])
+
+    def test_merge_coresets_equals_the_pairwise_fold(self):
+        rng = np.random.default_rng(5)
+        parts = [
+            Coreset(rng.normal(size=(size, 3)), rng.random(size), float(rng.random()))
+            for size in (4, 0, 7, 1, 5)
+        ]
+        folded = parts[0]
+        for part in parts[1:]:
+            folded = folded.merged_with(part)
+        merged = merge_coresets(iter(parts))
+        assert merged.points.tobytes() == folded.points.tobytes()
+        assert merged.weights.tobytes() == folded.weights.tobytes()
+        assert merged.shift == folded.shift  # summed left to right
+
+    def test_merge_coresets_single_is_the_same_object(self):
+        c = _simple_coreset()
+        assert merge_coresets([c]) is c
+
+    def test_merge_coresets_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension 2 and 3"):
+            merge_coresets([_simple_coreset(), Coreset(np.zeros((1, 3)), np.ones(1))])
+
+
+class TestMergeComplexity:
+    def test_merge_stays_within_a_constant_of_one_concatenate(self):
+        # A pairwise merge copies O(B^2) rows: at 2000 buckets it runs a few
+        # hundred times slower than one concatenate of the same arrays.  The
+        # linear merge concatenates points and weights once and validates
+        # once, about 4x.  Best-of-N timings keep machine noise out of the
+        # ratio.
+        rng = np.random.default_rng(0)
+        parts = [Coreset(rng.normal(size=(16, 8)), rng.random(16)) for _ in range(2000)]
+
+        def best_seconds(fn, repeats):
+            timings = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                fn()
+                timings.append(time.perf_counter() - start)
+            return min(timings)
+
+        merge = best_seconds(lambda: merge_coresets(parts), 3)
+        concatenate = best_seconds(
+            lambda: np.concatenate([c.points for c in parts]), 5
+        )
+        assert merge < 25 * concatenate, (merge, concatenate)
 
 
 class TestCoresetAccounting:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import registry
 from repro.core.engine import DistributedStagePipeline, StagePipeline
 from repro.core.pipelines import NoReductionPipeline
-from repro.cli import build_parser, run
+from repro.cli import build_run_parser, run_spec
 from repro.metrics import ExperimentRunner
 
 SEED_ALGORITHMS = {
@@ -98,12 +98,12 @@ class TestNovelCompositionsSmoke:
         "name", [spec.name for spec in registry.registered_specs() if spec.novel]
     )
     def test_novel_composition_runs_from_cli(self, name):
-        args = build_parser().parse_args([
+        args = build_run_parser(flat=True).parse_args([
             "--dataset", "mnist", "--n", "200", "--d", "40",
             "--algorithm", name, "--coreset-size", "50", "--runs", "1",
             "--seed", "3",
         ])
-        row = run(args)
+        row = run_spec(args)
         assert row["normalized_cost"] > 0
         if registry.is_streaming(name):
             # On a 200-point toy set the per-batch coresets are as large as
@@ -115,7 +115,7 @@ class TestNovelCompositionsSmoke:
             assert 0 < row["normalized_communication"] < 1
 
     def test_cli_accepts_every_registered_algorithm(self):
-        parser = build_parser()
+        parser = build_run_parser(flat=True)
         for name in registry.registered_names():
             assert parser.parse_args(["--algorithm", name]).algorithm == name
 
