@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -305,10 +305,10 @@ class StreamingEngine(DistributedStagePipeline):
             for agg_id, rng in zip(topology.aggregator_ids, agg_rngs)
         ]
         router = TopologyRouter(
-            topology, sources, aggregators, server, network, self.fault_plan
+            topology, sources, aggregators, server, network, self.fault_plan,
+            self.window,
         )
 
-        ledger: Dict[int, List[int]] = {}
         queries: List[QuerySnapshot] = []
         exhausted = [False] * len(iterators)
         # One long-lived pool for the whole stream: the compress phase runs
@@ -321,7 +321,7 @@ class StreamingEngine(DistributedStagePipeline):
         )
         try:
             t = self._stream_steps(
-                iterators, router, ledger, queries, exhausted, executor
+                iterators, router, queries, exhausted, executor
             )
         finally:
             if executor is not None:
@@ -331,12 +331,12 @@ class StreamingEngine(DistributedStagePipeline):
             raise ValueError("the streams yielded no batches")
         last_step = t - 1
         if not queries or queries[-1].time != last_step:
-            queries.append(self._query(router, ledger, last_step))
+            queries.append(self._query(router, last_step))
 
-        return self._report(router, queries, ledger, t)
+        return self._report(router, queries, t)
 
     def _stream_steps(
-        self, iterators, router, ledger, queries, exhausted, executor
+        self, iterators, router, queries, exhausted, executor
     ) -> int:
         """Drive the batch-step loop; returns the number of steps taken."""
         network, sources = router.network, router.sources
@@ -384,13 +384,13 @@ class StreamingEngine(DistributedStagePipeline):
             # uplink and the per-step ledger are schedule-independent.  The
             # router folds every source into its parent and, in a tree,
             # cascades the aggregators upward level by level.
-            router.deliver_step(t, arrivals, ledger, self.window)
+            router.deliver_step(t, arrivals)
             if (
                 self.query_every is not None
                 and (t + 1) % self.query_every == 0
                 and router.server.has_summary
             ):
-                queries.append(self._query(router, ledger, t))
+                queries.append(self._query(router, t))
             t += 1
         return t
 
@@ -461,27 +461,14 @@ class StreamingEngine(DistributedStagePipeline):
             stage.handshake(ctx)
         return stages, reduce_stage
 
-    def _windowed_totals(self, ledger: Dict[int, List[int]], t: int) -> Tuple[int, int]:
-        if self.window is None:
-            steps = ledger.values()
-        else:
-            steps = (ledger[s] for s in ledger if s > t - self.window)
-        scalars = bits = 0
-        for step_scalars, step_bits in steps:
-            scalars += step_scalars
-            bits += step_bits
-        return scalars, bits
-
-    def _query(
-        self, router: TopologyRouter, ledger: Dict[int, List[int]], t: int
-    ) -> QuerySnapshot:
+    def _query(self, router: TopologyRouter, t: int) -> QuerySnapshot:
         server, network = router.server, router.network
         result, coreset, seconds = server.query()
         centers = result.centers
         lifts = next((s.lifts for s in router.sources if s.lifts is not None), [])
         for lift in reversed(lifts):
             centers = lift(centers)
-        windowed_scalars, windowed_bits = self._windowed_totals(ledger, t)
+        windowed_scalars, windowed_bits = router.windowed_uplink(t)
         return QuerySnapshot(
             time=t,
             centers=centers,
@@ -499,7 +486,6 @@ class StreamingEngine(DistributedStagePipeline):
         self,
         router: TopologyRouter,
         queries: List[QuerySnapshot],
-        ledger: Dict[int, List[int]],
         num_steps: int,
     ) -> StreamingReport:
         sources, server, network = router.sources, router.server, router.network

@@ -12,7 +12,9 @@ discard the energy outside the principal subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import base64
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,29 +68,32 @@ class Coreset:
 
     # ------------------------------------------------------------------ API
     def to_state(self) -> dict:
-        """JSON-able snapshot of the coreset.
+        """JSON-able snapshot of the coreset: points and weights through
+        :func:`encode_array`, Δ as a JSON number.
 
-        ``tolist()`` round-trips float64 exactly, so
-        :meth:`from_state` rebuilds a bit-identical coreset — the unit the
-        streaming snapshot/restore machinery serializes.
+        Both round-trip float64 exactly, so :meth:`from_state` rebuilds a
+        bit-identical coreset — the unit that ``repro serve`` fold frames,
+        its fold log and every streaming snapshot carry.
         """
         return {
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
+            "points": encode_array(self.points),
+            "weights": encode_array(self.weights),
             "shift": self.shift,
-            "dimension": self.dimension,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "Coreset":
-        """Rebuild a coreset from a :meth:`to_state` snapshot."""
-        dimension = int(state.get("dimension", 0))
-        points = np.asarray(state["points"], dtype=float)
-        if points.size == 0:
-            points = points.reshape(0, dimension)
+        """Rebuild a coreset from a :meth:`to_state` snapshot; raises
+        ``ValueError`` on a malformed or list-form (format 1) state."""
+        points, weights = state["points"], state["weights"]
+        if isinstance(points, list) or isinstance(weights, list):
+            raise ValueError(
+                "coreset state is in the format-1 list form, which is no "
+                "longer read; points and weights must be encoded arrays"
+            )
         return cls(
-            points,
-            np.asarray(state["weights"], dtype=float),
+            decode_array(points, rank=2),
+            decode_array(weights, rank=1),
             float(state.get("shift", 0.0)),
         )
 
@@ -147,6 +152,61 @@ class Coreset:
         if true_cost <= 0:
             return 0.0 if approx_cost <= self.shift + 1e-12 else float("inf")
         return float(abs(approx_cost - true_cost) / true_cost)
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """A float64 array as a JSON object, losslessly: its little-endian
+    (``<f8``) bytes minus the low-order bytes that are zero in every element,
+    base64-encoded, with the shape and the dropped-byte count.
+
+    The count comes from the data: a ``RoundingQuantizer(s)`` output has
+    ``52 − s`` zero low bits, so a 12-bit coordinate ships the 3 bytes the
+    bit meter charges, and full-precision data ships all 8.  At most 7 bytes
+    are dropped (an all-zero array keeps one per element), so decoding never
+    allocates more than 8 bytes per payload byte.
+    """
+    raw = np.ascontiguousarray(array, dtype="<f8")
+    # The bytes below the lowest bit set in any element are zero in all.
+    union = int(np.bitwise_or.reduce(raw.view("<u8"), axis=None))
+    drop = min(7, ((union & -union).bit_length() - 1) // 8) if union else 7
+    kept = raw.view(np.uint8).reshape(-1, 8)[:, drop:]
+    return {
+        "shape": list(raw.shape),
+        "drop": drop,
+        "b64": base64.b64encode(kept.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(state: dict, rank: int) -> np.ndarray:
+    """Inverse of :func:`encode_array`: a fresh, writable float64 array of
+    ``rank`` dimensions.  Raises ``ValueError`` on a malformed state; the
+    payload's length is checked against the shape before the array is
+    allocated, so a forged shape cannot allocate more than 8 bytes per
+    payload byte."""
+    shape, drop, payload = state["shape"], state["drop"], state["b64"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == rank
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ValueError(
+            f"array shape must be {rank} non-negative integer(s), got {shape!r}"
+        )
+    if type(drop) is not int or not 0 <= drop <= 7:
+        raise ValueError(f"dropped-byte count must be 0 to 7, got {drop!r}")
+    if not isinstance(payload, str):
+        raise ValueError("array payload must be a base64 string")
+    kept = base64.b64decode(payload, validate=True)
+    count, width = math.prod(shape), 8 - drop
+    size = count * width
+    if len(kept) != size:
+        raise ValueError(
+            f"payload holds {len(kept)} bytes, shape {shape} at {width} "
+            f"byte(s) per element needs {size}"
+        )
+    raw = np.zeros((count, 8), dtype=np.uint8)
+    raw[:, drop:] = np.frombuffer(kept, dtype=np.uint8).reshape(count, width)
+    return raw.view("<f8").reshape(shape).astype(np.float64, copy=False)
 
 
 def merge_coresets(coresets) -> Coreset:

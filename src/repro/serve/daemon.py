@@ -57,8 +57,9 @@ from repro.utils.clock import perf_counter
 from repro.utils.random import SeedLike, generator_for_name
 from repro.utils.validation import check_positive_int
 
-#: Snapshot file layout version, bumped on incompatible changes.
-SNAPSHOT_VERSION = 1
+#: Snapshot file layout version, bumped on incompatible changes.  Version 2
+#: stores coresets as encoded arrays; version 1 snapshots are refused.
+SNAPSHOT_VERSION = 2
 
 
 @dataclass

@@ -3,9 +3,13 @@
 One request per line, one response per line, over a plain TCP stream.  The
 payload of a fold is the *existing* in-process unit of delivery — a
 :class:`~repro.streaming.source.SourceUpdate` bucket delta — serialized
-through :meth:`Coreset.to_state` / :meth:`Coreset.from_state`, whose
-``tolist()`` representation round-trips float64 exactly: a fold delivered
-over the wire is bit-identical to one folded in-process.
+through :meth:`Coreset.to_state` / :meth:`Coreset.from_state`: each bucket's
+points and weights travel as base64 little-endian float64 minus the
+low-order bytes that are zero in every element
+(:func:`~repro.cr.coreset.encode_array`).  That round-trips float64 exactly,
+so a fold delivered over the wire is bit-identical to one folded in-process,
+and a quantized coordinate costs the bytes the bit meter charges for it.
+Version 1's list-form coresets are refused as ``bad-request``.
 
 Requests are JSON objects with an ``op`` key::
 
@@ -33,7 +37,8 @@ from repro.streaming.server import (
 from repro.streaming.source import BucketUpdate, SourceUpdate
 
 #: Bumped on incompatible frame-layout changes; echoed by ``healthz``.
-PROTOCOL_VERSION = 1
+#: Version 2 carries coresets as encoded arrays instead of JSON lists.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one NDJSON frame (a fold carrying a full coreset delta);
 #: the daemon's stream reader enforces it so a garbage client cannot buffer

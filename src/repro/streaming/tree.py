@@ -165,10 +165,11 @@ class CoresetTree:
     def snapshot(self) -> dict:
         """JSON-able snapshot of the tree's complete mutable state.
 
-        Captures every live bucket (coresets serialized exactly — float64
-        survives the list round trip bit-for-bit), the id allocator, and
-        the accounting counters.  The ``reduce`` callable and ``window``
-        are *configuration*, re-supplied by the constructor on restore.
+        Captures every live bucket (coresets serialized exactly through
+        :meth:`Coreset.to_state` — float64 survives the round trip
+        bit-for-bit), the id allocator, and the accounting counters.  The
+        ``reduce`` callable and ``window`` are *configuration*, re-supplied
+        by the constructor on restore.
         """
         return {
             "window": self.window,

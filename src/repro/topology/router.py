@@ -12,7 +12,7 @@ Each batch step it
    parent, so a summary reaches the server through ``hops`` metered,
    re-compressed hops within the same step;
 4. charges the step's uplink delta (sources *and* aggregator hops) to the
-   engine's per-step ledger.
+   per-step uplink ledger, whose windowed totals a query reads in O(1).
 
 Fault awareness: a dead aggregator takes exactly its subtree with it.  Its
 descendants are marked failed (their links lead nowhere), its own last
@@ -22,7 +22,8 @@ of the tree keeps streaming — a dead source's semantics one level up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.distributed.conditions import SERVER_ID, FaultPlan
 from repro.distributed.network import SimulatedNetwork
@@ -52,6 +53,8 @@ class TopologyRouter:
     fault_plan:
         The run's scripted faults, consulted per step for aggregator
         dropout.
+    window:
+        The run's sliding window in batch steps (``None``: unwindowed).
     """
 
     def __init__(
@@ -62,6 +65,7 @@ class TopologyRouter:
         server: StreamingServer,
         network: SimulatedNetwork,
         fault_plan: FaultPlan,
+        window: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.sources = list(sources)
@@ -69,6 +73,12 @@ class TopologyRouter:
         self.server = server
         self.network = network
         self.fault_plan = fault_plan
+        self.window = window
+        # The uplink ledger: running totals over the steps still inside the
+        # window, and (windowed runs only) each step's charge queued so that
+        # expiry subtracts it exactly once — O(1) amortized per query.
+        self._window_scalars = self._window_bits = 0
+        self._charges: Deque[Tuple[int, int, int]] = deque()
         self._aggregators_by_id: Dict[str, AggregatorNode] = {
             agg.agg_id: agg for agg in self.aggregators
         }
@@ -112,13 +122,7 @@ class TopologyRouter:
                         severed.append(self._source_index[node])
         return severed
 
-    def deliver_step(
-        self,
-        t: int,
-        arrivals: Sequence[Optional[object]],
-        ledger: Dict[int, List[int]],
-        window: Optional[int],
-    ) -> None:
+    def deliver_step(self, t: int, arrivals: Sequence[Optional[object]]) -> None:
         """Run one step's transmission phase through the topology."""
         network = self.network
         # Window advances first, outside the ledger capture: an ended
@@ -126,7 +130,7 @@ class TopologyRouter:
         # must leave the parent's view (and the query cost) in lockstep —
         # and its retirements ship no payload scalars.  A failed source
         # cannot retire anything: its last summary stays as-is.
-        if window is not None:
+        if self.window is not None:
             for source, batch in zip(self.sources, arrivals):
                 if batch is None and not network.is_failed(source.source_id):
                     self._fold_into_parent(source.source_id, source.advance(t))
@@ -141,9 +145,23 @@ class TopologyRouter:
             if network.is_failed(agg.agg_id):
                 continue
             self._fold_into_parent(agg.agg_id, agg.emit(t))
-        step = ledger.setdefault(t, [0, 0])
-        step[0] += network.uplink_scalars() - scalars_before
-        step[1] += network.uplink_bits() - bits_before
+        scalars = network.uplink_scalars() - scalars_before
+        bits = network.uplink_bits() - bits_before
+        self._window_scalars += scalars
+        self._window_bits += bits
+        if self.window is not None:
+            self._charges.append((t, scalars, bits))
+
+    def windowed_uplink(self, t: int) -> Tuple[int, int]:
+        """Uplink ``(scalars, bits)`` charged to the steps inside the window
+        that ends at step ``t`` — every step when unwindowed.  Steps are
+        asked in non-decreasing order: an expired step leaves for good."""
+        charges = self._charges
+        while charges and charges[0][0] <= t - self.window:
+            _, scalars, bits = charges.popleft()
+            self._window_scalars -= scalars
+            self._window_bits -= bits
+        return self._window_scalars, self._window_bits
 
     # ------------------------------------------------------------ reporting
     @property

@@ -17,12 +17,15 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro.cr.coreset import Coreset
 from repro.distributed.network import SimulatedNetwork
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError, ServeSource
 from repro.serve.daemon import ServeDaemon, load_snapshot, log_path_for
 from repro.stages.base import StageContext
 from repro.stages.cr import UniformStage
+from repro.stages.qt import QuantizeStage
+from repro.streaming.server import StreamingServer
 from repro.streaming.source import StreamingSource
 from repro.utils.random import as_generator
 
@@ -61,9 +64,19 @@ class DaemonHarness:
         return ServeClient("127.0.0.1", self.port, **kwargs)
 
 
-def make_source(source_id="source-0", seed=9) -> StreamingSource:
+def v1_coreset_state(coreset) -> dict:
+    """A coreset in protocol and snapshot version 1's list form."""
+    return {"points": coreset.points.tolist(),
+            "weights": coreset.weights.tolist(),
+            "shift": coreset.shift, "dimension": coreset.dimension}
+
+
+def make_source(source_id="source-0", seed=9, quantize_bits=None) -> StreamingSource:
+    stages = [UniformStage(12)]
+    if quantize_bits is not None:
+        stages.append(QuantizeStage(quantize_bits))
     return StreamingSource(
-        source_id, [UniformStage(12)], UniformStage(12),
+        source_id, stages, UniformStage(12),
         StageContext(k=2, epsilon=0.1, delta=0.1, rng=as_generator(seed)),
         SimulatedNetwork(),
     )
@@ -142,6 +155,7 @@ class TestProtocolSurface:
         with DaemonHarness(seed=17) as harness, harness.client() as client:
             health = client.healthz()
             assert health["status"] == "ok" and health["tenants"] == 0
+            assert health["protocol_version"] == 2
             assert client.call({"op": "no-such-op"})["error"] == "bad-request"
             assert client.call({"op": "fold", "update": 5})["error"] == "bad-request"
             assert client.call({"op": "register"})["error"] == "bad-request"
@@ -154,6 +168,28 @@ class TestProtocolSurface:
             assert response["error"] == "bad-request"
             metrics = client.metrics()
             assert metrics["connections"] >= 1
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "list-form"])
+    def test_bad_fold_then_good_fold_on_one_connection(self, corrupt):
+        """An undecodable fold is a bad-request that leaves the connection
+        and the daemon serving: the next fold on it applies."""
+        with DaemonHarness(seed=17) as harness, harness.client() as client:
+            serve_source = ServeSource(make_source(), client)
+            serve_source.register()
+            update = serve_source.source.ingest(as_generator(50).random((40, 5)), 0)
+            payload = protocol.encode_update(update)
+            state = payload["added"][0]["coreset"]
+            if corrupt == "truncated":
+                state["points"]["b64"] = state["points"]["b64"][:-4]
+            else:
+                payload["added"][0]["coreset"] = v1_coreset_state(
+                    update.added[0].coreset)
+            bad = client.call({"op": "fold", "tenant": "default", "update": payload})
+            assert bad["ok"] is False and bad["error"] == "bad-request"
+            assert serve_source.deliver(update)["result"] == "applied"
+            metrics = client.metrics()
+            assert metrics["connections"] == 1
+            assert metrics["totals"]["folds"] == 1
 
     def test_tenants_are_isolated(self):
         with DaemonHarness(seed=17) as harness, harness.client() as client:
@@ -210,7 +246,7 @@ class TestDurability:
                 response = ServeClient._unwrap(client.call({"op": "snapshot"}))
                 assert response["path"] == str(snap)
         state = load_snapshot(snap)
-        assert state["version"] == 1
+        assert state["version"] == 2
 
     def test_snapshot_op_without_path_is_rejected(self):
         with DaemonHarness(seed=3) as harness, harness.client() as client:
@@ -290,6 +326,30 @@ class TestFoldLog:
             np.asarray(answer["centers"]), np.asarray(uncrashed["centers"])
         )
         assert answer["cost"] == uncrashed["cost"]
+
+    def test_quantized_folds_replay_from_the_log(self, tmp_path):
+        """12-bit folds travel and are logged as 3-byte coordinates; a crash
+        image whose log holds them restores to the uncrashed answer."""
+        snap = tmp_path / "live" / "serve.json"
+        image = tmp_path / "image" / "serve.json"
+        with DaemonHarness(seed=17, snapshot_path=snap) as harness:
+            with harness.client() as client:
+                serve_source = ServeSource(make_source(quantize_bits=12), client)
+                serve_source.register()
+                fold_until_logged(serve_source, client, as_generator(50))
+                copy_crash_image(snap, image)
+                uncrashed = serve_source.query()
+        state = load_snapshot(image)
+        folds = [r["request"]["update"] for r in state["log"]
+                 if r["request"]["op"] == "fold"]
+        assert folds
+        for update in folds:
+            for bucket in update["added"]:
+                assert bucket["coreset"]["points"]["drop"] == 5
+        restarted = ServeDaemon(k=2, seed=17).restore_state(state)
+        result, _, _ = restarted.tenant("default").server.query()
+        np.testing.assert_array_equal(np.asarray(uncrashed["centers"]), result.centers)
+        assert uncrashed["cost"] == result.cost
 
     def test_corrupt_log_record_fails_restore(self, tmp_path, monkeypatch):
         snap = tmp_path / "live" / "serve.json"
@@ -410,6 +470,29 @@ class TestCLI:
             cli.main(["client", "--port", "1", "--n", "64", "--d", "8",
                       "--batches", "1", "--retry-deadline", "0.2",
                       "--timeout", "0.2"])
+
+    def test_serve_refuses_version_1_snapshot(self, tmp_path, monkeypatch):
+        """A snapshot from before the array codec (version 1, list-form
+        coresets) is refused with one line naming both versions."""
+        async def serve_nothing(self, **kwargs):
+            """A wrongly accepted restore returns instead of serving."""
+
+        monkeypatch.setattr(ServeDaemon, "run", serve_nothing)
+        server = StreamingServer(k=2, seed=17)
+        server.register("source-0")
+        server.fold(make_source().ingest(as_generator(50).random((40, 5)), 0))
+        tenant = server.snapshot()
+        for bucket in tenant["buckets"]:
+            bucket["coreset"] = v1_coreset_state(
+                Coreset.from_state(bucket["coreset"]))
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(
+            {"version": 1, "lsn": 0, "tenants": {"default": tenant}}))
+        with pytest.raises(SystemExit, match="invalid snapshot") as excinfo:
+            cli.main(["serve", "--port", "0", "--restore", str(old)])
+        message = str(excinfo.value)
+        assert "version 1" in message and "version 2" in message
+        assert "\n" not in message
 
     def test_serve_refuses_bad_snapshot(self, tmp_path):
         bad = tmp_path / "bad.json"

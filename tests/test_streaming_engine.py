@@ -1,5 +1,7 @@
 """Tests for repro.core.streaming — the streaming execution engine."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.datasets import make_drifting_stream, make_gaussian_mixture
 from repro.stages.cr import FSSStage, SensitivityStage, UniformStage
 from repro.stages.dr import JLStage, PCAStage
 from repro.stages.qt import QuantizeStage
+from repro.topology.router import TopologyRouter
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +180,55 @@ class TestSlidingWindow:
         # At most the window's worth of buckets stays live per source.
         assert final.live_buckets <= 2
         assert report.details["live_buckets"] <= 2
+
+
+def ledger_lines_per_query(monkeypatch, steps, window):
+    """Python lines the uplink ledger runs per query, over a stream of
+    ``steps`` batches queried after every step.  A deterministic count (no
+    clock): a walk over the per-step ledger runs at least one line per entry
+    it touches."""
+    original = TopologyRouter.windowed_uplink
+    lines = calls = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def counted(self, t):
+        nonlocal calls
+        calls += 1
+        previous = sys.gettrace()
+        sys.settrace(count_lines)
+        try:
+            return original(self, t)
+        finally:
+            sys.settrace(previous)
+
+    monkeypatch.setattr(TopologyRouter, "windowed_uplink", counted)
+    rng = np.random.default_rng(0)
+    engine = StreamingEngine(
+        [UniformStage(2)], k=1, batch_size=2, window=window, query_every=1,
+        server_n_init=1, server_max_iterations=2, seed=1,
+    )
+    report = engine.run_streams([[rng.random((2, 2)) for _ in range(steps)]])
+    monkeypatch.undo()
+    assert calls == len(report.queries) == steps
+    return lines / calls
+
+
+class TestLedgerComplexity:
+    """A stream that queries every step must not be quadratic in its length:
+    each query reads the windowed uplink totals in O(1) amortized."""
+
+    @pytest.mark.parametrize("window", [None, 4])
+    def test_ledger_work_per_query_does_not_grow_with_the_stream(
+        self, monkeypatch, window
+    ):
+        short = ledger_lines_per_query(monkeypatch, 24, window)
+        long = ledger_lines_per_query(monkeypatch, 8 * 24, window)
+        # A walk over every step would read ~8x the entries per query.
+        assert long <= 1.5 * short, (short, long)
 
 
 class TestRegistryIntegration:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cr.coreset import Coreset
 from repro.distributed.network import SimulatedNetwork
+from repro.quantization.rounding import RoundingQuantizer
 from repro.stages.base import StageContext
 from repro.stages.cr import UniformStage
 from repro.streaming.server import StreamingServer
@@ -62,6 +63,49 @@ class TestCoresetState:
         empty = Coreset(np.empty((0, 5)), np.empty(0), 0.0)
         back = Coreset.from_state(roundtrip(empty.to_state()))
         assert back.points.shape == (0, 5)
+
+    def test_restored_arrays_are_fresh_and_writable(self):
+        coreset = make_coreset(as_generator(3))
+        state = roundtrip(coreset.to_state())
+        back = Coreset.from_state(state)
+        back.points[0] = -1.0
+        back.weights[0] = -1.0
+        again = Coreset.from_state(state)
+        np.testing.assert_array_equal(again.points, coreset.points)
+        np.testing.assert_array_equal(again.weights, coreset.weights)
+
+    @pytest.mark.parametrize("significant_bits", [1, 4, 8, 12, 20, 36, 52])
+    def test_quantized_points_ship_their_metered_bytes(self, significant_bits):
+        """A RoundingQuantizer(s) output has 52 - s zero low bits, so the
+        codec drops (52 - s) // 8 bytes per coordinate, losslessly."""
+        points = RoundingQuantizer(significant_bits).quantize(
+            as_generator(4).normal(size=(2000, 8)))
+        state = roundtrip(Coreset(points, np.ones(2000), 0.0).to_state())
+        assert state["points"]["drop"] == (52 - significant_bits) // 8
+        back = Coreset.from_state(state)
+        assert back.points.tobytes() == points.tobytes()
+
+    def test_all_zero_array_keeps_one_byte_per_element(self):
+        state = Coreset(np.zeros((3, 2)), np.zeros(3), 0.0).to_state()
+        assert state["points"]["drop"] == state["weights"]["drop"] == 7
+        back = Coreset.from_state(roundtrip(state))
+        np.testing.assert_array_equal(back.points, np.zeros((3, 2)))
+
+    def test_list_form_state_is_refused(self):
+        """Format 1 (JSON lists) is refused by name, directly and on the
+        CoresetTree.restore path."""
+        coreset = make_coreset(as_generator(3))
+        old = {"points": coreset.points.tolist(),
+               "weights": coreset.weights.tolist(),
+               "shift": coreset.shift, "dimension": coreset.dimension}
+        with pytest.raises(ValueError, match="format-1 list form"):
+            Coreset.from_state(old)
+        tree = CoresetTree(reduce=lambda c: c)
+        tree.insert(coreset, 0)
+        snapshot = roundtrip(tree.snapshot())
+        snapshot["buckets"][0]["coreset"] = old
+        with pytest.raises(ValueError, match="format-1 list form"):
+            CoresetTree(reduce=lambda c: c).restore(snapshot)
 
 
 class TestTreeSnapshot:
