@@ -2,8 +2,10 @@
 
 Times the hot primitives (fused assignment/cost, cluster means, k-means++,
 D²-sampling, bicriteria) and the end-to-end ``fss`` / ``jl-fss`` registered
-pipelines, and persists the rows to ``BENCH_perf.json`` so CI uploads a
-machine-readable perf trajectory alongside the streaming benches.  The
+pipelines, plus bicriteria and FSS at a streaming source's leaf shape
+(32 × 8 batch, k = 4), where per-call overhead rather than arithmetic
+shows.  The rows go to ``BENCH_perf.json`` so CI uploads a machine-readable
+perf trajectory alongside the streaming benches.  The
 committed copy of the file additionally carries the ``baseline:*`` /
 ``post:*`` rows measured on the 100k × 50 acceptance workload (see
 ``benchmarks/perf_baseline.py``).
@@ -19,6 +21,7 @@ import pytest
 
 from bench_helpers import SCALE, record_perf, run_once, time_best_of
 from repro.core import registry
+from repro.cr.fss import FSSCoreset
 from repro.datasets import make_gaussian_mixture
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import assign_and_cost, assign_to_centers, cluster_means
@@ -28,6 +31,10 @@ from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
 N = int(40_000 * SCALE)
 D = 50
 K = 10
+
+# The stream-fss leaf: one 32-row batch of 8-dim points, k = 4, coreset size
+# 64; each leaf row times LEAF_CALLS back-to-back calls.
+LEAF_CALLS = 200
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +54,11 @@ def centers(dataset):
 def test_primitive_timings(benchmark, dataset, centers):
     """Record per-primitive best-of-3 timings."""
     labels, _ = assign_to_centers(dataset, centers)
+    leaf = np.random.default_rng(5).standard_normal((32, 8))
+
+    def leaf_calls(fn):
+        return lambda: [fn(seed) for seed in range(LEAF_CALLS)]
+
     rows = {
         "primitive:fused_assign_cost": {
             "seconds": time_best_of(lambda: assign_and_cost(dataset, centers))
@@ -72,6 +84,18 @@ def test_primitive_timings(benchmark, dataset, centers):
                 lambda: bicriteria_approximation(dataset[:10_000], K, seed=1),
                 repeats=1,
             )
+        },
+        "primitive:bicriteria_leaf": {
+            "seconds": time_best_of(leaf_calls(
+                lambda seed: bicriteria_approximation(leaf, 4, seed=seed)
+            )),
+            "calls": float(LEAF_CALLS),
+        },
+        "primitive:fss_leaf": {
+            "seconds": time_best_of(leaf_calls(
+                lambda seed: FSSCoreset(k=4, size=64, seed=seed).build(leaf)
+            )),
+            "calls": float(LEAF_CALLS),
         },
         "primitive:lloyd_fit": {
             "seconds": time_best_of(

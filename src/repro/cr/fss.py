@@ -129,7 +129,9 @@ class FSSCoreset:
         )
         pca.fit(points)
         projected = pca.project_in_place(points)
-        tail_energy = pca.residual_energy(points)
+        # Δ = ‖A − A V Vᵀ‖²_F, from the projection already in hand: the same
+        # bits as pca.residual_energy(points), which would project again.
+        tail_energy = float(np.sum((points - projected) ** 2))
 
         sampler = SensitivitySampler(
             k=self.k,

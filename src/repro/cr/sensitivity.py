@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.cr.coreset import Coreset
 from repro.kmeans.bicriteria import BicriteriaResult, bicriteria_approximation
-from repro.kmeans.cost import assign_to_centers
 from repro.utils.random import SeedLike, as_generator, weighted_indices
 from repro.utils.validation import (
     check_fraction,
@@ -108,17 +107,17 @@ class SensitivitySampler:
         ``p`` under ``B``.
         """
         points = check_matrix(points, "points")
-        n = points.shape[0]
-        weights = check_weights(weights, n)
+        return self._sensitivities(points, check_weights(weights, points.shape[0]))
+
+    def _sensitivities(
+        self, points: np.ndarray, weights: np.ndarray
+    ) -> SensitivityScores:
+        """:meth:`compute_sensitivities` on inputs the caller validated."""
         bicriteria = bicriteria_approximation(
             points, self.k, weights=weights, seed=self._rng
         )
-        # The bicriteria run caches exactly the assignment this bound needs;
-        # recompute only if a caller handed in a result without the cache.
-        if bicriteria.squared_distances is not None:
-            labels, d2 = bicriteria.labels, bicriteria.squared_distances
-        else:
-            labels, d2 = assign_to_centers(points, bicriteria.centers)
+        # The bicriteria run caches exactly the assignment this bound needs.
+        labels, d2 = bicriteria.labels, bicriteria.squared_distances
         weighted_d2 = weights * d2
         total_cost = float(weighted_d2.sum())
 
@@ -159,7 +158,7 @@ class SensitivitySampler:
         weights = check_weights(weights, n)
         size = min(self.size, n)
 
-        scores = self.compute_sensitivities(points, weights)
+        scores = self._sensitivities(points, weights)
         probabilities = scores.scores / scores.total
         indices = weighted_indices(self._rng, probabilities, size=size)
 

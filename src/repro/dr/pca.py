@@ -132,8 +132,12 @@ class PCAProjection(DimensionalityReducer):
         return points @ self._basis.T
 
     def project_in_place(self, points: np.ndarray) -> np.ndarray:
-        """The FSS-style projection ``A -> A V V^T`` (original coordinates)."""
-        return self.inverse_transform(self.transform(points))
+        """The FSS-style projection ``A -> A V V^T`` (original coordinates).
+
+        ``transform`` validates ``points``; its output is embedded back
+        directly, without re-validating an array computed a line earlier.
+        """
+        return self.transform(points) @ self._basis.T
 
     def residual_energy(self, points: np.ndarray) -> float:
         """Squared Frobenius distance between the data and its projection.

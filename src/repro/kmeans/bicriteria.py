@@ -14,16 +14,20 @@ Two consumers in this library:
 * the quantizer configuration of Section 6.3 uses ``cost(P, B)/20`` as the
   lower bound ``E`` on the optimal k-means cost.
 
-Performance: each adaptive round maintains the per-point min-distance vector
-*incrementally* — only distances to the centers added in that round are
-computed, then folded into the running minimum.  The naive formulation
-re-scanned the full (growing) center set twice per round (once to sample,
-once for the residual cost), which made the bicriteria step the dominant
-cost of every sensitivity-sampling pipeline; the incremental sweep computes
-each (point, center) distance exactly once across the whole run and produces
-bit-identical draws.  Nearest-center labels and distances are computed once,
-for the winning repetition only, and cached on the result for downstream
-reuse (the sensitivity sampler needs exactly those quantities).
+Performance: inputs are validated once, at the entry of
+:func:`bicriteria_approximation`, and the adaptive rounds run as a trusted
+loop over the checked arrays; re-validating every round would cost more
+than the arithmetic on a streaming source's 32-row batches.  Each round
+draws its batch straight from the weighted D² scores, marks the fresh
+centers with a boolean mask and computes distances to those fresh centers
+only, with the row norms hoisted out of the loop, folding them into a
+per-point running minimum: each (point, center) distance is computed once
+per repetition.  The draws are bit-identical to a loop that calls the
+public, validating :func:`~repro.kmeans.seeding.d2_sampling` every round,
+which the tests keep as the reference.  Nearest-center labels and distances
+are computed once, for the winning repetition only, and cached on the
+result for downstream reuse (the sensitivity sampler needs exactly those
+quantities).
 """
 
 from __future__ import annotations
@@ -33,10 +37,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kmeans.cost import assign_to_centers
-from repro.kmeans.seeding import d2_sampling
-from repro.utils.linalg import pairwise_squared_distances
-from repro.utils.random import SeedLike, as_generator, spawn_generators
+from repro.kmeans.cost import _nearest_center_pass
+from repro.utils.linalg import pairwise_squared_distances, squared_norms
+from repro.utils.random import (
+    SeedLike,
+    as_generator,
+    spawn_generators,
+    weighted_index_from_scores,
+)
 from repro.utils.validation import check_matrix, check_positive_int, check_weights
 
 
@@ -53,7 +61,8 @@ class BicriteriaResult:
     labels:
         Nearest-center assignment of the input points.
     rounds:
-        Number of adaptive-sampling rounds used by the winning repetition.
+        Number of adaptive-sampling rounds each repetition was given (a
+        repetition stops early once its residual cost reaches zero).
     squared_distances:
         Per-point squared distance to the nearest center (the ``D²`` vector
         matching ``labels``); cached so consumers such as the sensitivity
@@ -101,7 +110,8 @@ def bicriteria_approximation(
         Optional non-negative point weights.
     rounds:
         Number of adaptive sampling rounds; defaults to
-        ``ceil(log2(n)) + 1`` capped to keep the selected set small.
+        ``max(1, ceil(log2(max(n, 2))))``.  The default fixes how many
+        batches each repetition draws, so it is part of the seeded stream.
     batch_factor:
         Points drawn per round = ``batch_factor * k``.
     repetitions:
@@ -122,18 +132,30 @@ def bicriteria_approximation(
         rounds = max(1, int(np.ceil(np.log2(max(n, 2)))))
     rounds = check_positive_int(rounds, "rounds")
 
+    if weights.sum() <= 0:
+        raise ValueError("weights must contain at least one positive entry")
+    point_norms = squared_norms(points)
+    # Each round's fresh centers are gathered into a C-contiguous copy, and
+    # einsum's summation order depends on the layout: index the norms of a
+    # C-contiguous array so they match squared_norms(points[fresh]) bit for
+    # bit whatever the layout of the input.
+    contiguous = np.ascontiguousarray(points)
+    center_norms = point_norms if contiguous is points else squared_norms(contiguous)
+
     best_centers: Optional[np.ndarray] = None
     best_cost = np.inf
     for rep_rng in spawn_generators(rng, repetitions):
         centers, cost = _single_adaptive_run(
-            points, k, weights, rounds, batch_factor, rep_rng
+            points, point_norms, center_norms, k, weights, rounds,
+            batch_factor, rep_rng,
         )
         if best_centers is None or cost < best_cost:
             best_centers = centers
             best_cost = cost
     # Labels (and the matching D² vector) are needed only for the winner, so
     # the losing repetitions never pay the assignment pass.
-    labels, d2 = assign_to_centers(points, best_centers)
+    labels = np.empty(points.shape[0], dtype=np.int64)
+    labels, d2 = _nearest_center_pass(points, best_centers, labels=labels)
     return BicriteriaResult(
         centers=best_centers,
         cost=float(best_cost),
@@ -145,6 +167,8 @@ def bicriteria_approximation(
 
 def _single_adaptive_run(
     points: np.ndarray,
+    point_norms: np.ndarray,
+    center_norms: np.ndarray,
     k: int,
     weights: np.ndarray,
     rounds: int,
@@ -153,25 +177,31 @@ def _single_adaptive_run(
 ):
     """One adaptive-sampling pass: iteratively add D²-sampled batches.
 
-    Returns ``(centers, cost)``.  The per-point min squared distance to the
+    Trusts its inputs (:func:`bicriteria_approximation` validated them) and
+    returns ``(centers, cost)``.  The per-point min squared distance to the
     selected set is maintained incrementally: each round computes distances
     to that round's *newly added* centers only.
     """
     n = points.shape[0]
     batch = min(batch_factor * k, n)
     selected = np.zeros(n, dtype=bool)
+    # Before any center is selected, D² sampling draws by weight alone.
+    scores = weights
     closest: Optional[np.ndarray] = None
     residual = np.inf
 
     for _ in range(rounds):
-        indices, _ = d2_sampling(
-            points, None, batch, weights=weights, seed=rng,
-            min_squared_distances=closest,
-        )
-        fresh = np.unique(indices[~selected[indices]])
+        indices = weighted_index_from_scores(rng, scores, size=batch)
+        fresh_mask = np.zeros(n, dtype=bool)
+        fresh_mask[indices] = True
+        fresh_mask[selected] = False
+        fresh = np.flatnonzero(fresh_mask)
         selected[fresh] = True
         if fresh.size:
-            new_d2 = pairwise_squared_distances(points, points[fresh]).min(axis=1)
+            new_d2 = pairwise_squared_distances(
+                points, points[fresh],
+                a_squared_norms=point_norms, b_squared_norms=center_norms[fresh],
+            ).min(axis=1)
             if closest is None:
                 closest = new_d2
             else:
@@ -181,8 +211,9 @@ def _single_adaptive_run(
         residual = float(np.dot(weights, closest))
         if residual <= 0.0:
             break
+        scores = weights * closest
 
-    # rounds >= 1 and every d2_sampling call returns >= 1 index, so at least
-    # one point is always selected.
+    # rounds >= 1 and every draw returns >= 1 index, so at least one point is
+    # always selected.
     centers = points[np.flatnonzero(selected)]
     return centers, residual

@@ -75,8 +75,12 @@ def check_weights(
 
 
 def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
-    """Validate an integer parameter such as ``k`` or a sample size."""
-    if not isinstance(value, (int, np.integer)):
+    """Validate an integer parameter such as ``k`` or a sample size.
+
+    ``bool`` is refused like ``float``: it subclasses ``int``, so without the
+    explicit test ``k=True`` would silently run as ``k=1``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value)!r}")
     value = int(value)
     if value < minimum:

@@ -30,6 +30,16 @@ class TestFSSCoreset:
             result.pca.residual_energy(high_dim_points), rel=1e-6
         )
 
+    def test_shift_reuses_projection_bit_for_bit(self, high_dim_points):
+        # build() takes Δ from the projection it already computed; that must
+        # be the very value residual_energy gets by projecting again.
+        result = FSSCoreset(k=3, size=50, pca_rank=5, seed=1).build(high_dim_points)
+        assert result.coreset.shift == result.pca.residual_energy(high_dim_points)
+        np.testing.assert_array_equal(
+            result.pca.project_in_place(high_dim_points),
+            result.pca.inverse_transform(result.pca.transform(high_dim_points)),
+        )
+
     def test_coreset_points_lie_in_principal_subspace(self, high_dim_points):
         fss = FSSCoreset(k=3, size=60, pca_rank=6, seed=2)
         result = fss.build(high_dim_points)

@@ -13,9 +13,12 @@ Three contracts are pinned here:
    labels and cost as the plain loop on separated synthetic data.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.cr.fss import FSSCoreset
 from repro.datasets import make_gaussian_mixture
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import (
@@ -27,7 +30,13 @@ from repro.kmeans.cost import (
 from repro.kmeans.lloyd import WeightedKMeans
 from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
 from repro.utils.linalg import pairwise_squared_distances
-from repro.utils.random import weighted_index_from_scores, weighted_indices
+from repro.utils.random import (
+    as_generator,
+    spawn_generators,
+    weighted_index_from_scores,
+    weighted_indices,
+)
+from repro.utils.validation import check_matrix, check_weights
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +191,93 @@ class TestSearchsortedSamplers:
         np.testing.assert_array_equal(a, b)
 
 
+def reference_bicriteria(points, k, weights=None, rounds=None, seed=None,
+                         batch_factor=3, repetitions=3):
+    """Reference adaptive-sampling loop, written with the public kernels.
+
+    Every round goes through the validating ``d2_sampling``, takes the
+    fresh centers with ``np.unique`` and recomputes both norm vectors in
+    ``pairwise_squared_distances``; the winner is labelled by the public
+    ``assign_to_centers``.  Returns ``(centers, cost, labels, d2, rounds)``.
+    """
+    points = check_matrix(points, "points")
+    n = points.shape[0]
+    weights = check_weights(weights, n)
+    if rounds is None:
+        rounds = max(1, int(np.ceil(np.log2(max(n, 2)))))
+    best_centers, best_cost = None, np.inf
+    for rng in spawn_generators(as_generator(seed), repetitions):
+        batch = min(batch_factor * k, n)
+        selected = np.zeros(n, dtype=bool)
+        closest = None
+        residual = np.inf
+        for _ in range(rounds):
+            indices, _ = d2_sampling(
+                points, None, batch, weights=weights, seed=rng,
+                min_squared_distances=closest,
+            )
+            fresh = np.unique(indices[~selected[indices]])
+            selected[fresh] = True
+            if fresh.size:
+                new_d2 = pairwise_squared_distances(points, points[fresh]).min(axis=1)
+                if closest is None:
+                    closest = new_d2
+                else:
+                    np.minimum(closest, new_d2, out=closest)
+            residual = float(np.dot(weights, closest))
+            if residual <= 0.0:
+                break
+        centers = points[np.flatnonzero(selected)]
+        if best_centers is None or residual < best_cost:
+            best_centers, best_cost = centers, residual
+    labels, d2 = assign_to_centers(points, best_centers)
+    return best_centers, float(best_cost), labels, d2, rounds
+
+
+def _parity_points(n, duplicate=False):
+    rng = np.random.default_rng(n)
+    if duplicate:
+        return np.tile(rng.standard_normal((1, 5)), (n, 1))
+    points = rng.standard_normal((n, 5))
+    points[: n // 2] += 6.0
+    return points
+
+
+def _parity_weights(kind, n):
+    if kind is None:
+        return None
+    weights = np.random.default_rng(n + 1).random(n) + 0.1
+    if kind == "zeros":
+        weights[1::3] = 0.0
+    return weights
+
+
+PARITY_CASES = [
+    dict(n=n, k=k, weights=w)
+    for n in (1, 2, 32, 128, 3000)
+    for k in (1, 4, n + 1)
+    for w in (None, "positive", "zeros")
+] + [
+    dict(n=n, k=k, weights=w, duplicate=True)
+    for n in (2, 32, 128)
+    for k in (1, 4)
+    for w in (None, "zeros")
+] + [
+    dict(n=n, k=4, weights="positive", rounds=r)
+    for n in (1, 32, 128)
+    for r in (1, 2, 9)
+] + [
+    dict(n=n, k=4, weights=w, layout=layout)
+    for n in (32, 128)
+    for w in (None, "zeros")
+    for layout in ("float32", "fortran", "strided")
+]
+
+
+def _parity_id(case):
+    return "-".join(f"{key}={value}" for key, value in case.items())
+
+
 class TestIncrementalBicriteria:
     def test_cost_matches_full_reassignment(self, data):
         points, weights = data
@@ -195,6 +291,96 @@ class TestIncrementalBicriteria:
         labels, d2 = assign_to_centers(points, result.centers)
         np.testing.assert_array_equal(result.labels, labels)
         np.testing.assert_array_equal(result.squared_distances, d2)
+
+    @pytest.mark.parametrize("case", PARITY_CASES, ids=_parity_id)
+    def test_bit_parity_with_reference_loop(self, case):
+        """The trusted loop reproduces the validating loop bit for bit.
+
+        Both run here, in one process, so a BLAS difference between hosts
+        shifts both sides alike and cannot flip the comparison.
+        """
+        n, k = case["n"], case["k"]
+        points = _parity_points(n, case.get("duplicate", False))
+        layout = case.get("layout")
+        if layout == "float32":
+            points = points.astype(np.float32)
+        elif layout == "fortran":
+            points = np.asfortranarray(points)
+        elif layout == "strided":
+            points = np.repeat(points, 2, axis=1)[:, ::2]
+        weights = _parity_weights(case["weights"], n)
+        rounds = case.get("rounds")
+        for seed in (0, 1):
+            result = bicriteria_approximation(
+                points, k, weights=weights, rounds=rounds, seed=seed
+            )
+            centers, cost, labels, d2, ref_rounds = reference_bicriteria(
+                points, k, weights=weights, rounds=rounds, seed=seed
+            )
+            assert result.centers.dtype == centers.dtype
+            np.testing.assert_array_equal(result.centers, centers)
+            assert result.cost == cost
+            np.testing.assert_array_equal(result.labels, labels)
+            np.testing.assert_array_equal(result.squared_distances, d2)
+            assert result.rounds == ref_rounds
+            if case.get("duplicate"):
+                assert cost == 0.0  # the residual-0 early exit ran
+
+
+def count_validation_calls(fn):
+    """How many times ``fn()`` enters ``check_matrix``/``check_weights``.
+
+    Counted from profiler call events on the two code objects, so the
+    figure is exact and reads no clock.
+    """
+    codes = {check_matrix.__code__, check_weights.__code__}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestValidateOnce:
+    """Inputs are validated at the public entry, not once per round: the
+    number of validation calls does not grow with n, rounds or
+    repetitions."""
+
+    def test_fss_build_independent_of_n(self):
+        rng = np.random.default_rng(5)
+        counts = [
+            count_validation_calls(
+                lambda: FSSCoreset(k=4, size=64, seed=1).build(
+                    rng.standard_normal((n, 8))
+                )
+            )
+            for n in (32, 4096)
+        ]
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("knob", ["repetitions", "rounds"])
+    def test_bicriteria_independent_of_knob(self, data, knob):
+        points, weights = data
+        values = {"repetitions": (3, 9), "rounds": (2, 12)}[knob]
+        counts = [
+            count_validation_calls(
+                lambda: bicriteria_approximation(
+                    points[:400], 4, weights=weights[:400], seed=2,
+                    **{knob: value},
+                )
+            )
+            for value in values
+        ]
+        assert counts[0] == counts[1]
 
 
 HAMERLY_DATASETS = [

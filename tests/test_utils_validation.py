@@ -1,8 +1,16 @@
-"""Tests for repro.utils.validation."""
+"""Tests for repro.utils.validation and the public entry points it guards."""
+
+import re
 
 import numpy as np
 import pytest
 
+from repro.cr.fss import FSSCoreset
+from repro.cr.sensitivity import SensitivitySampler
+from repro.dr.pca import PCAProjection
+from repro.kmeans.bicriteria import bicriteria_approximation
+from repro.kmeans.cost import assign_to_centers
+from repro.kmeans.seeding import d2_sampling
 from repro.utils.validation import (
     check_fraction,
     check_matrix,
@@ -77,6 +85,11 @@ class TestCheckPositiveInt:
         with pytest.raises(TypeError):
             check_positive_int(3.0, "k")
 
+    def test_bool_rejected(self):
+        # bool subclasses int; True must not pass as k = 1.
+        with pytest.raises(TypeError):
+            check_positive_int(True, "k")
+
     def test_below_minimum_rejected(self):
         with pytest.raises(ValueError):
             check_positive_int(0, "k")
@@ -105,3 +118,109 @@ class TestCheckFraction:
         assert check_fraction(0.3, "eps", high=1.0 / 3.0, inclusive_high=True) == 0.3
         with pytest.raises(ValueError):
             check_fraction(0.4, "eps", high=1.0 / 3.0, inclusive_high=True)
+
+
+# Public entry points that take a point set, called as ``fn(points)`` or,
+# for the ones that take weights, ``fn(points, weights)``.
+WEIGHTED_ENTRIES = {
+    "bicriteria_approximation": lambda p, w=None: bicriteria_approximation(
+        p, 3, weights=w, seed=0
+    ),
+    "d2_sampling": lambda p, w=None: d2_sampling(p, None, 6, weights=w, seed=0),
+    "SensitivitySampler.build": lambda p, w=None: SensitivitySampler(
+        k=3, size=8, seed=0
+    ).build(p, weights=w),
+    "SensitivitySampler.compute_sensitivities": lambda p, w=None: SensitivitySampler(
+        k=3, size=8, seed=0
+    ).compute_sensitivities(p, weights=w),
+    "FSSCoreset.build": lambda p, w=None: FSSCoreset(k=3, size=8, seed=0).build(
+        p, weights=w
+    ),
+}
+ENTRIES = dict(
+    WEIGHTED_ENTRIES,
+    **{
+        "PCAProjection.fit": lambda p: PCAProjection(rank=2).fit(p),
+        "assign_to_centers": lambda p: assign_to_centers(
+            p, np.zeros((2, p.shape[-1]))
+        ),
+    },
+)
+# Finite points whose squared distances overflow to inf - inf = NaN.
+OVERFLOWING_ENTRIES = [
+    "bicriteria_approximation",
+    "SensitivitySampler.build",
+    "SensitivitySampler.compute_sensitivities",
+    "FSSCoreset.build",
+]
+
+
+def _boundary_points():
+    return np.random.default_rng(3).standard_normal((32, 4))
+
+
+def _bad_points(kind):
+    points = _boundary_points()
+    if kind == "nan":
+        points[3, 1] = np.nan
+    elif kind == "inf":
+        points[5, 0] = np.inf
+    else:
+        points = points.reshape(2, 16, 4)
+    return points
+
+
+def _bad_weights(kind):
+    weights = np.ones(32)
+    if kind == "negative":
+        weights[4] = -1.0
+    elif kind == "nan":
+        weights[2] = np.nan
+    elif kind == "short":
+        weights = weights[:-1]
+    else:
+        weights[:] = 0.0
+    return weights
+
+
+class TestPublicBoundary:
+    """Each public entry refuses bad input itself, with the message its
+    validator gives, whatever trusted loop runs behind it."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("kind, message", [
+        ("nan", "points contains NaN or infinite values"),
+        ("inf", "points contains NaN or infinite values"),
+        ("3d", "points must be a 2-D array, got ndim=3"),
+    ])
+    def test_bad_points_rejected(self, entry, kind, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ENTRIES[entry](_bad_points(kind))
+
+    @pytest.mark.parametrize("entry", sorted(WEIGHTED_ENTRIES))
+    @pytest.mark.parametrize("kind, message", [
+        ("negative", "weights must be non-negative"),
+        ("nan", "weights contains NaN or infinite values"),
+        ("short", "weights must have length 32, got 31"),
+        ("zero", "weights must contain at least one positive entry"),
+    ])
+    def test_bad_weights_rejected(self, entry, kind, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WEIGHTED_ENTRIES[entry](_boundary_points(), _bad_weights(kind))
+
+    @pytest.mark.parametrize("entry", OVERFLOWING_ENTRIES)
+    def test_overflowing_distances_rejected(self, entry):
+        points = _boundary_points() * 1e200
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="probabilities must contain positive mass"
+        ):
+            ENTRIES[entry](points)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bicriteria_approximation(_boundary_points(), True, seed=0),
+        lambda: FSSCoreset(k=True),
+        lambda: SensitivitySampler(k=True, size=8),
+    ], ids=["bicriteria_approximation", "FSSCoreset", "SensitivitySampler"])
+    def test_bool_k_rejected(self, make):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            make()
