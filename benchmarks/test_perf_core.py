@@ -4,7 +4,9 @@ Times the hot primitives (fused assignment/cost, cluster means, k-means++,
 D²-sampling, bicriteria) and the end-to-end ``fss`` / ``jl-fss`` registered
 pipelines, plus bicriteria and FSS at a streaming source's leaf shape
 (32 × 8 batch, k = 4), where per-call overhead rather than arithmetic
-shows.  The rows go to ``BENCH_perf.json`` so CI uploads a machine-readable
+shows, and the two tall exact SVDs: disPCA's local SVD on a JL-projected
+2000 × 129 shard and a PCA fit on 4000 × 256.  The rows go to
+``BENCH_perf.json`` so CI uploads a machine-readable
 perf trajectory alongside the streaming benches.  The
 committed copy of the file additionally carries the ``baseline:*`` /
 ``post:*`` rows measured on the 100k × 50 acceptance workload (see
@@ -23,6 +25,9 @@ from bench_helpers import SCALE, record_perf, run_once, time_best_of
 from repro.core import registry
 from repro.cr.fss import FSSCoreset
 from repro.datasets import make_gaussian_mixture
+from repro.distributed.network import SimulatedNetwork
+from repro.distributed.node import DataSourceNode
+from repro.dr.pca import PCAProjection
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import assign_and_cost, assign_to_centers, cluster_means
 from repro.kmeans.lloyd import WeightedKMeans
@@ -55,6 +60,11 @@ def test_primitive_timings(benchmark, dataset, centers):
     """Record per-primitive best-of-3 timings."""
     labels, _ = assign_to_centers(dataset, centers)
     leaf = np.random.default_rng(5).standard_normal((32, 8))
+    shard_node = DataSourceNode(
+        "source-0", np.random.default_rng(6).standard_normal((2000, 129)),
+        SimulatedNetwork(),
+    )
+    tall = np.random.default_rng(7).standard_normal((4000, 256))
 
     def leaf_calls(fn):
         return lambda: [fn(seed) for seed in range(LEAF_CALLS)]
@@ -96,6 +106,12 @@ def test_primitive_timings(benchmark, dataset, centers):
                 lambda seed: FSSCoreset(k=4, size=64, seed=seed).build(leaf)
             )),
             "calls": float(LEAF_CALLS),
+        },
+        "primitive:local_svd": {
+            "seconds": time_best_of(lambda: shard_node.local_svd(10))
+        },
+        "primitive:pca_fit_tall": {
+            "seconds": time_best_of(lambda: PCAProjection(rank=20).fit(tall))
         },
         "primitive:lloyd_fit": {
             "seconds": time_best_of(

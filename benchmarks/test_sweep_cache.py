@@ -5,8 +5,9 @@ Two cold/warm pairs, both recorded as rows in ``BENCH_sweep.json``
 
 * the paper-style quantization sweep (examples/specs/
   quantization_sweep.toml — 8 cells over quantize_bits × network) run
-  twice against one stage cache: the warm pass must be >50% cache hits
-  and strictly faster;
+  cold and then warm against one stage cache, three times over: every
+  warm pass must replay all the cold pass's stage work from cache, and
+  the best warm pass must be strictly faster than the best cold one;
 * a larger multi-axis sweep whose source-side stage work (full-dimension
   FSS on 4000×256) dominates the uncached floor (server solves +
   evaluations): the warm pass must show a ≥2× wall-time reduction.
@@ -57,15 +58,29 @@ def _assert_bit_parity(cold, warm):
 
 
 def test_example_quantization_sweep_warm_rerun(tmp_path):
-    """The CI contract: re-running the example sweep is >50% hits and faster."""
+    """The CI contract: re-running the example sweep replays every stage
+    from cache, and is faster.
+
+    The cache counters are the signal noise cannot flip: a warm pass
+    misses nothing and hits every lookup the cold pass made.  The timing
+    compares the best of three cold passes, each on a fresh cache
+    directory, with the best of three warm passes, each right after its
+    cold pass, so one descheduled pass cannot decide it.
+    """
     sweep = api.load_spec(SWEEP_SPEC)
     assert isinstance(sweep, api.SweepSpec)
-    cache_dir = tmp_path / "stage_cache"
 
-    cold, cold_seconds, cold_counters = _timed_sweep(sweep, cache_dir)
-    warm, warm_seconds, warm_counters = _timed_sweep(sweep, cache_dir)
+    colds, warms = [], []
+    for attempt in range(3):
+        cache_dir = tmp_path / f"stage_cache_{attempt}"
+        colds.append(_timed_sweep(sweep, cache_dir))
+        warms.append(_timed_sweep(sweep, cache_dir))
+    cold, _, cold_counters = colds[0]
+    warm, _, warm_counters = warms[0]
+    cold_seconds = min(seconds for _, seconds, _ in colds)
+    warm_seconds = min(seconds for _, seconds, _ in warms)
 
-    print(f"\n{SWEEP_SPEC.name}: {len(cold)} cells")
+    print(f"\n{SWEEP_SPEC.name}: {len(cold)} cells, best of {len(colds)} passes")
     print(f"cold: {cold_seconds:.3f}s, {cold_counters.hits} hit(s), "
           f"{cold_counters.misses} miss(es)")
     print(f"warm: {warm_seconds:.3f}s, {warm_counters.hits} hit(s), "
@@ -76,9 +91,16 @@ def test_example_quantization_sweep_warm_rerun(tmp_path):
         "quantization_sweep_warm": _row(warm, warm_seconds, warm_counters),
     })
 
-    _assert_bit_parity(cold, warm)
+    lookups = cold_counters.hits + cold_counters.misses
+    for outcomes, _, counters in colds:
+        _assert_bit_parity(cold, outcomes)
+        assert (counters.hits, counters.misses) == (
+            cold_counters.hits, cold_counters.misses)
+    for outcomes, _, counters in warms:
+        _assert_bit_parity(cold, outcomes)
+        assert counters.misses == 0
+        assert counters.hits == lookups
     assert warm_counters.hit_rate > 0.5
-    assert warm_counters.misses == 0
     assert warm_seconds < cold_seconds
 
 

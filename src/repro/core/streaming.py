@@ -34,13 +34,13 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import DistributedStagePipeline
 from repro.core.report import PipelineReport
-from repro.datasets.streams import iter_batches
+from repro.datasets.streams import _batches
 from repro.distributed.conditions import (
     ConditionLike,
     FaultPlan,
@@ -221,7 +221,10 @@ class StreamingEngine(DistributedStagePipeline):
         shards = [check_matrix(s, "shard") for s in shards]
         if not shards:
             raise ValueError("at least one shard is required")
-        return self.run_streams([iter_batches(s, self.batch_size) for s in shards])
+        # The shards are validated: their batches are sliced, not re-checked.
+        return self._run_batches([
+            _batches(s, self.batch_size, np.arange(s.shape[0])) for s in shards
+        ])
 
     def run_on_dataset(
         self,
@@ -239,10 +242,18 @@ class StreamingEngine(DistributedStagePipeline):
     def run_streams(
         self, streams: Sequence[Iterable[np.ndarray]]
     ) -> StreamingReport:
-        """Execute the streaming protocol over one batch iterator per source."""
+        """Execute the streaming protocol over one batch iterator per source.
+
+        Each batch is validated once, as its stream yields it.
+        """
         if not streams:
             raise ValueError("at least one batch stream is required")
-        iterators = [iter(s) for s in streams]
+        return self._run_batches([
+            (check_matrix(batch, "batch") for batch in stream) for stream in streams
+        ])
+
+    def _run_batches(self, iterators: List[Iterator[np.ndarray]]) -> StreamingReport:
+        """The protocol over one iterator of validated batches per source."""
         # Resolve the aggregation topology against the actual source count
         # before any random draws, so configuration errors surface eagerly.
         topology = resolve_topology(
@@ -252,8 +263,7 @@ class StreamingEngine(DistributedStagePipeline):
         first_batch = next(iterators[0], None)
         if first_batch is None:
             raise ValueError("the first stream yielded no batches")
-        first_batch = check_matrix(first_batch, "batch")
-        iterators[0] = iter(itertools.chain([first_batch], iterators[0]))
+        iterators[0] = itertools.chain([first_batch], iterators[0])
         stages, reduce_stage = self._start_stream(first_batch.shape)
 
         network = SimulatedNetwork(
@@ -372,7 +382,7 @@ class StreamingEngine(DistributedStagePipeline):
             # Compute phase: compress this step's batches in parallel (tree
             # updates and sampler draws touch only source-local state).
             active = [
-                (source, check_matrix(batch, "batch"))
+                (source, batch)
                 for source, batch in zip(sources, arrivals)
                 if batch is not None
             ]

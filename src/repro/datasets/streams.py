@@ -32,7 +32,15 @@ def iter_batches(
     batch_size = check_positive_int(batch_size, "batch_size")
     n = points.shape[0]
     order = as_generator(seed).permutation(n) if shuffle else np.arange(n)
-    for start in range(0, n, batch_size):
+    yield from _batches(points, batch_size, order)
+
+
+def _batches(
+    points: np.ndarray, batch_size: int, order: np.ndarray
+) -> Iterator[np.ndarray]:
+    """:func:`iter_batches` after its checks: row batches of an array the
+    caller has already validated, visited in ``order``."""
+    for start in range(0, order.shape[0], batch_size):
         yield points[order[start:start + batch_size]]
 
 

@@ -4,7 +4,10 @@ Protocol (Section 5.1):
 
 1. Every data source ``i`` computes a local SVD ``A_{P_i} = U_i Σ_i V_i^T``
    and transmits the top ``t1`` singular values and right singular vectors
-   ``(Σ_i^{(t1)}, V_i^{(t1)})`` — ``t1 · (d + 1)`` scalars.
+   ``(Σ_i^{(t1)}, V_i^{(t1)})`` — ``t1 · (d + 1)`` scalars.  ``U_i`` is
+   never formed: :func:`~repro.utils.linalg.right_svd` returns ``Σ_i`` and
+   ``V_i`` alone, through the SVD of the shard's QR factor ``R`` when the
+   shard is tall.
 2. The server stacks ``Y_i = Σ_i^{(t1)} (V_i^{(t1)})^T`` into ``Y`` and
    computes a global SVD ``Y = U Σ V^T``.
 3. The first ``t2`` columns of ``V`` are broadcast back; each source projects

@@ -20,7 +20,7 @@ from repro.kmeans.bicriteria import BicriteriaResult, bicriteria_approximation
 from repro.kmeans.cost import assign_to_centers
 from repro.quantization.rounding import RoundingQuantizer
 from repro.utils.clock import perf_counter
-from repro.utils.linalg import safe_svd
+from repro.utils.linalg import right_svd
 from repro.utils.random import SeedLike, as_generator, weighted_indices
 from repro.utils.validation import check_matrix, check_positive_int
 
@@ -110,18 +110,24 @@ class DataSourceNode:
     # ---------------------------------------------------------- local steps
     def apply_jl(self, projection: JLProjection) -> np.ndarray:
         """Apply a JL projection to the local shard (costs no communication:
-        the projection seed is pre-shared)."""
-        projected = self._timed(projection.transform, self.points)
+        the projection seed is pre-shared).
+
+        The node validated its shard when it was built, and its local
+        transforms replace it only with products of valid arrays, so the
+        projection runs its trusted step and does not scan the shard again.
+        """
+        projected = self._timed(projection._project, self.points)
         self.points = projected
         return projected
 
     def local_svd(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
         """Local SVD step of disPCA: returns ``(Sigma_t, V_t)`` truncated to
-        ``rank`` columns (these are what the node transmits)."""
+        ``rank`` columns (these are what the node transmits).  The left
+        singular vectors are never formed: nothing sends them."""
         rank = check_positive_int(rank, "rank")
 
         def _svd():
-            _, s, vt = safe_svd(self.points, full_matrices=False)
+            s, vt = right_svd(self.points)
             keep = min(rank, s.shape[0])
             return s[:keep], vt[:keep].T
 

@@ -16,7 +16,7 @@ from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.kmeans.lloyd import KMeansResult, WeightedKMeans
 from repro.utils.clock import perf_counter
-from repro.utils.linalg import safe_svd
+from repro.utils.linalg import right_svd
 from repro.utils.random import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -116,7 +116,7 @@ class EdgeServer:
         rank = check_positive_int(rank, "rank")
 
         def _svd():
-            _, _, vt = safe_svd(stacked, full_matrices=False)
+            vt = right_svd(stacked)[1]
             keep = min(rank, vt.shape[0])
             return vt[:keep].T
 

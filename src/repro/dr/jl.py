@@ -138,7 +138,11 @@ class JLProjection(DimensionalityReducer):
         return 0
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        points = check_matrix(points, "points", allow_empty=True)
+        return self._project(check_matrix(points, "points", allow_empty=True))
+
+    def _project(self, points: np.ndarray) -> np.ndarray:
+        """The projection of an already-validated 2-D float array: the
+        dimension is checked, the entries are not scanned again."""
         if points.shape[1] != self._d:
             raise ValueError(
                 f"expected {self._d}-dimensional points, got {points.shape[1]}"

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dr.base import DimensionalityReducer
-from repro.utils.linalg import randomized_svd, safe_svd
+from repro.utils.linalg import randomized_svd, right_svd
 from repro.utils.random import SeedLike
 from repro.utils.validation import check_fraction, check_matrix, check_positive_int
 
@@ -65,7 +65,7 @@ class PCAProjection(DimensionalityReducer):
         if self._approximate:
             _, s, vt = randomized_svd(points, rank, seed=self._seed)
         else:
-            _, s, vt = safe_svd(points, full_matrices=False)
+            s, vt = right_svd(points)
             s, vt = s[:rank], vt[:rank]
         self._basis = vt.T
         self._singular_values = s

@@ -4,6 +4,7 @@ from repro.utils.random import as_generator, spawn_generators
 from repro.utils.linalg import (
     moore_penrose_inverse,
     randomized_svd,
+    right_svd,
     safe_svd,
     squared_norms,
     pairwise_squared_distances,
@@ -20,6 +21,7 @@ __all__ = [
     "spawn_generators",
     "moore_penrose_inverse",
     "randomized_svd",
+    "right_svd",
     "safe_svd",
     "squared_norms",
     "pairwise_squared_distances",

@@ -18,8 +18,14 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core import streaming as streaming_engine
+from repro.core.streaming import StreamingEngine
 from repro.cr.fss import FSSCoreset
 from repro.datasets import make_gaussian_mixture
+from repro.datasets.streams import iter_batches
+from repro.distributed.network import SimulatedNetwork
+from repro.distributed.node import DataSourceNode
+from repro.dr.jl import JLProjection
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import (
     assign_and_cost,
@@ -29,6 +35,7 @@ from repro.kmeans.cost import (
 )
 from repro.kmeans.lloyd import WeightedKMeans
 from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
+from repro.stages.cr import UniformStage
 from repro.utils.linalg import pairwise_squared_distances
 from repro.utils.random import (
     as_generator,
@@ -327,18 +334,21 @@ class TestIncrementalBicriteria:
                 assert cost == 0.0  # the residual-0 early exit ran
 
 
-def count_validation_calls(fn):
+def count_validation_calls(fn, callers=None):
     """How many times ``fn()`` enters ``check_matrix``/``check_weights``.
 
     Counted from profiler call events on the two code objects, so the
-    figure is exact and reads no clock.
+    figure is exact and reads no clock.  ``callers`` (module files) keeps
+    only the calls made from code in those files.
     """
     codes = {check_matrix.__code__, check_weights.__code__}
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code in codes:
+        if event == "call" and frame.f_code in codes and (
+            callers is None or frame.f_back.f_code.co_filename in callers
+        ):
             calls += 1
 
     previous = sys.getprofile()
@@ -381,6 +391,62 @@ class TestValidateOnce:
             for value in values
         ]
         assert counts[0] == counts[1]
+
+    def test_node_jl_step_does_not_rescan_the_shard(self):
+        shard = np.random.default_rng(6).standard_normal((200, 30))
+        node = DataSourceNode("source-0", shard, SimulatedNetwork())
+        projection = JLProjection(30, 8, seed=1)
+        assert count_validation_calls(lambda: node.apply_jl(projection)) == 0
+        np.testing.assert_array_equal(node.points, projection.transform(shard))
+
+
+class TestStreamingValidatesOnce:
+    """The streaming engine checks each shard once in ``run`` and each
+    batch once in ``run_streams``, whatever the number of batches."""
+
+    SOURCES = 4
+    BATCH = 16
+    ENGINE_FILES = {streaming_engine.__file__, iter_batches.__code__.co_filename}
+
+    def _engine(self):
+        return StreamingEngine([UniformStage(8)], k=2, batch_size=self.BATCH, seed=3)
+
+    def _shards(self, batches):
+        rng = np.random.default_rng(batches)
+        return [rng.standard_normal((batches * self.BATCH, 5))
+                for _ in range(self.SOURCES)]
+
+    @pytest.mark.parametrize("batches", [3, 12])
+    def test_run_checks_each_shard_once(self, batches):
+        shards = self._shards(batches)
+        calls = count_validation_calls(
+            lambda: self._engine().run(shards), callers=self.ENGINE_FILES)
+        assert calls == self.SOURCES
+
+    @pytest.mark.parametrize("batches", [3, 12])
+    def test_run_streams_checks_each_batch_once(self, batches):
+        streams = [list(iter_batches(shard, self.BATCH))
+                   for shard in self._shards(batches)]
+        calls = count_validation_calls(
+            lambda: self._engine().run_streams(streams), callers=self.ENGINE_FILES)
+        assert calls == self.SOURCES * batches
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.full((BATCH, 5), np.nan), "batch contains NaN or infinite values"),
+        (np.zeros((2, BATCH, 5)), "batch must be a 2-D array, got ndim=3"),
+    ], ids=["nan", "3d"])
+    def test_run_streams_rejects_a_bad_batch_mid_stream(self, bad, message):
+        streams = [list(iter_batches(shard, self.BATCH)) for shard in self._shards(3)]
+        streams[2][1] = bad
+        with pytest.raises(ValueError, match=message):
+            self._engine().run_streams(streams)
+
+    def test_run_matches_run_streams(self):
+        shards = self._shards(3)
+        streams = [list(iter_batches(shard, self.BATCH)) for shard in shards]
+        a, b = self._engine().run(shards), self._engine().run_streams(streams)
+        np.testing.assert_array_equal(a.centers, b.centers)
+        assert a.communication_bits == b.communication_bits
 
 
 HAMERLY_DATASETS = [

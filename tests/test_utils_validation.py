@@ -5,12 +5,19 @@ import re
 import numpy as np
 import pytest
 
+from repro.core import registry
+from repro.core.streaming import StreamingEngine
 from repro.cr.fss import FSSCoreset
 from repro.cr.sensitivity import SensitivitySampler
+from repro.distributed.cluster import EdgeCluster
+from repro.distributed.network import SimulatedNetwork
+from repro.distributed.node import DataSourceNode
+from repro.dr.jl import JLProjection
 from repro.dr.pca import PCAProjection
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import assign_to_centers
 from repro.kmeans.seeding import d2_sampling
+from repro.stages.cr import UniformStage
 from repro.utils.validation import (
     check_fraction,
     check_matrix,
@@ -144,8 +151,26 @@ ENTRIES = dict(
         "assign_to_centers": lambda p: assign_to_centers(
             p, np.zeros((2, p.shape[-1]))
         ),
+        "JLProjection.transform": lambda p: JLProjection(4, 2, seed=0).transform(p),
+        "DataSourceNode": lambda p: DataSourceNode(
+            "source-0", p, SimulatedNetwork()
+        ),
+        "EdgeCluster.from_shards": lambda p: EdgeCluster.from_shards(
+            [p], k=3, seed=0
+        ),
+        "DistributedStagePipeline.run": lambda p: registry.create_pipeline(
+            "jl-bklw", k=3, seed=0
+        ).run([p]),
+        "StreamingEngine.run_streams": lambda p: StreamingEngine(
+            [UniformStage(8)], k=3, batch_size=8, seed=0
+        ).run_streams([[p]]),
     },
 )
+# The name an entry's messages give the array, where it is not "points".
+ARRAY_NAMES = {
+    "DistributedStagePipeline.run": "shard",
+    "StreamingEngine.run_streams": "batch",
+}
 # Finite points whose squared distances overflow to inf - inf = NaN.
 OVERFLOWING_ENTRIES = [
     "bicriteria_approximation",
@@ -194,6 +219,7 @@ class TestPublicBoundary:
         ("3d", "points must be a 2-D array, got ndim=3"),
     ])
     def test_bad_points_rejected(self, entry, kind, message):
+        message = message.replace("points", ARRAY_NAMES.get(entry, "points"))
         with pytest.raises(ValueError, match=re.escape(message)):
             ENTRIES[entry](_bad_points(kind))
 
