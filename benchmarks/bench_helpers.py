@@ -16,14 +16,15 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.pipelines import (
+from repro.core.registry import (
+    BKLWPipeline,
     FSSJLPipeline,
     FSSPipeline,
+    JLBKLWPipeline,
     JLFSSJLPipeline,
     JLFSSPipeline,
     NoReductionPipeline,
 )
-from repro.core.distributed_pipelines import BKLWPipeline, JLBKLWPipeline
 from repro.quantization.rounding import RoundingQuantizer
 
 #: Scale factor for dataset sizes (1.0 = default laptop scale).

@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from bench_helpers import NUM_SOURCES, print_series, print_table, run_once
-from repro.core.distributed_pipelines import BKLWPipeline
-from repro.core.pipelines import JLFSSPipeline
+from repro.core.registry import BKLWPipeline, JLFSSPipeline
 from repro.cr.sensitivity import SensitivitySampler
 from repro.cr.uniform import UniformCoreset
 from repro.dr.jl import JLProjection

@@ -18,7 +18,7 @@ import pytest
 
 from bench_helpers import print_series, run_once
 from repro.core.configuration import configure_joint_reduction, estimate_optimal_cost_lower_bound
-from repro.core.pipelines import JLFSSJLPipeline
+from repro.core.registry import JLFSSJLPipeline
 from repro.kmeans.cost import kmeans_cost
 from repro.metrics import EvaluationContext
 from repro.quantization.rounding import RoundingQuantizer

@@ -19,7 +19,7 @@ from typing import Dict
 import pytest
 
 from bench_helpers import print_table, run_once
-from repro.core.pipelines import FSSPipeline, JLFSSPipeline, JLFSSJLPipeline
+from repro.core.registry import FSSPipeline, JLFSSPipeline, JLFSSJLPipeline
 from repro.core.theory import scaling_table
 from repro.datasets import make_gaussian_mixture
 

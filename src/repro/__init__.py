@@ -28,13 +28,11 @@ from repro.core import (
     StreamingEngine,
     StreamingReport,
     QuerySnapshot,
-    SingleSourcePipeline,
     NoReductionPipeline,
     FSSPipeline,
     JLFSSPipeline,
     FSSJLPipeline,
     JLFSSJLPipeline,
-    MultiSourcePipeline,
     DistributedNoReductionPipeline,
     BKLWPipeline,
     JLBKLWPipeline,
@@ -133,13 +131,11 @@ __all__ = [
     "SharedJLStage",
     "BKLWStage",
     "RawGatherStage",
-    "SingleSourcePipeline",
     "NoReductionPipeline",
     "FSSPipeline",
     "JLFSSPipeline",
     "FSSJLPipeline",
     "JLFSSJLPipeline",
-    "MultiSourcePipeline",
     "DistributedNoReductionPipeline",
     "BKLWPipeline",
     "JLBKLWPipeline",

@@ -58,19 +58,6 @@ from repro.core import registry
 DEFAULT_CACHE_DIR = "results/stage_cache"
 
 
-def _algorithms() -> Dict[str, tuple]:
-    """CLI algorithm name -> (pipeline factory, is_multi_source)."""
-    return {
-        spec.name: (spec.factory, spec.multi_source)
-        for spec in registry.registered_specs()
-    }
-
-
-#: Backwards-compatible view of the registry (kept because external callers
-#: and the test suite introspect it).
-ALGORITHMS = _algorithms()
-
-
 # ---------------------------------------------------------------------------
 # The experiment flags: one table, one flags → ExperimentSpec path.
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ The execution skeleton shared by every algorithm lives in
 :class:`DistributedStagePipeline`): timing, network metering, server-side
 weighted k-means, and center lift-back through the recorded DR inverses.
 Algorithms are declarative compositions of the stages in
-:mod:`repro.stages`, registered by name in :mod:`repro.core.registry`.
+:mod:`repro.stages`: each is one row of the composition table in
+:mod:`repro.core.registry`, which builds its pipeline class.  The paper's
+eight rows are exported under their classic names.
 
 Single-source pipelines (Section 4):
 
@@ -38,20 +40,6 @@ from repro.core.engine import (
     WireSummary,
     encode_for_wire,
 )
-from repro.core.pipelines import (
-    SingleSourcePipeline,
-    NoReductionPipeline,
-    FSSPipeline,
-    JLFSSPipeline,
-    FSSJLPipeline,
-    JLFSSJLPipeline,
-)
-from repro.core.distributed_pipelines import (
-    MultiSourcePipeline,
-    DistributedNoReductionPipeline,
-    BKLWPipeline,
-    JLBKLWPipeline,
-)
 from repro.core.streaming import (
     StreamingEngine,
     StreamingReport,
@@ -67,6 +55,14 @@ from repro.core.registry import (
     is_multi_source,
     is_streaming,
     make_stage_pipeline,
+    NoReductionPipeline,
+    FSSPipeline,
+    JLFSSPipeline,
+    FSSJLPipeline,
+    JLFSSJLPipeline,
+    DistributedNoReductionPipeline,
+    BKLWPipeline,
+    JLBKLWPipeline,
 )
 from repro.core.configuration import (
     QuantizerConfiguration,
@@ -85,13 +81,11 @@ __all__ = [
     "QuerySnapshot",
     "WireSummary",
     "encode_for_wire",
-    "SingleSourcePipeline",
     "NoReductionPipeline",
     "FSSPipeline",
     "JLFSSPipeline",
     "FSSJLPipeline",
     "JLFSSJLPipeline",
-    "MultiSourcePipeline",
     "DistributedNoReductionPipeline",
     "BKLWPipeline",
     "JLBKLWPipeline",

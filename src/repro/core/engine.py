@@ -14,10 +14,9 @@ once, for *any* declarative composition of stages:
   :class:`~repro.distributed.cluster.EdgeCluster` of shards.
 
 Both produce the same :class:`~repro.core.report.PipelineReport` as the seed
-pipelines — the classes in :mod:`repro.core.pipelines` and
-:mod:`repro.core.distributed_pipelines` are now thin factories over stage
-compositions, and :mod:`repro.core.registry` registers further compositions
-the monolithic implementations could not express.
+pipelines.  Every registered algorithm — the paper's eight included — is a
+row of the composition table in :mod:`repro.core.registry`, built as a
+subclass of one of these engines (or of the streaming engine).
 
 Protocol sequence (single source)
 ---------------------------------
@@ -152,8 +151,7 @@ class StagePipeline:
     ----------
     stages:
         The stage composition to execute.  Subclasses may instead override
-        :meth:`build_stages` (the eight paper pipelines do, deriving their
-        stages from the classic constructor arguments).
+        :meth:`build_stages`.
     k:
         Number of clusters.
     epsilon, delta:
@@ -233,12 +231,8 @@ class StagePipeline:
 
     # -------------------------------------------------------------- assembly
     def build_stages(self) -> List[Stage]:
-        """Return the stage composition for one run.
-
-        The default returns the stages given at construction; the concrete
-        paper pipelines override this to derive their composition from the
-        classic constructor arguments.
-        """
+        """Return the stage composition for one run (by default, the
+        stages given at construction)."""
         if self._stages is None:
             raise NotImplementedError(
                 f"{type(self).__name__} must be given stages or override build_stages()"

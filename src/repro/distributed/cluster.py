@@ -2,8 +2,9 @@
 
 Builds the whole simulated deployment (one :class:`SimulatedNetwork`, ``m``
 :class:`DataSourceNode` shards, one :class:`EdgeServer`) from a dataset and a
-partition strategy.  The multi-source pipelines of :mod:`repro.core.pipelines`
-operate on an ``EdgeCluster``.
+partition strategy.  The multi-source engine
+(:class:`~repro.core.engine.DistributedStagePipeline`) operates on an
+``EdgeCluster``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cr.coreset import Coreset
+from repro.cr.coreset import Coreset, merge_coresets
 from repro.distributed.conditions import DeliveryError
 from repro.distributed.node import DataSourceNode
 from repro.distributed.server import EdgeServer
@@ -118,7 +118,7 @@ class DistributedSensitivitySampler:
         self.jobs = jobs
 
     def run(self, sources: Sequence[DataSourceNode], server: EdgeServer) -> DisSSResult:
-        """Execute the protocol and leave the merged coreset at the server.
+        """Execute the protocol and return the coreset the server merged.
 
         Fault tolerance: a source that is down or exhausts its retry budget
         at any of the three communication phases is excluded from the rest
@@ -193,6 +193,10 @@ class DistributedSensitivitySampler:
             return sampled_points, weights
 
         samples = parallel_map(_sample, samplers, self.jobs)
+        # A one-shot round needs no watermarks: it merges exactly the sample
+        # sets that arrived in this round, so a reused server never folds an
+        # earlier round's coreset into this one.
+        received: List[Coreset] = []
         delivered_sizes: List[int] = []
         for (source, _, size), (sampled_points, weights) in zip(samplers, samples):
             try:
@@ -203,14 +207,15 @@ class DistributedSensitivitySampler:
             except DeliveryError:
                 network.mark_failed(source.node_id)
                 continue
-            server.receive_coreset(Coreset(sampled_points, weights, shift=0.0))
+            received.append(Coreset(sampled_points, weights, shift=0.0))
             delivered_sizes.append(size)
         network.advance_round()
+        if not received:
+            raise RuntimeError("disSS: no sample set reached the server")
 
-        merged = server.merged_coreset()
         transmitted = network.uplink_scalars() - before
         return DisSSResult(
-            coreset=merged,
+            coreset=merge_coresets(received),
             per_source_sizes=np.asarray(delivered_sizes, dtype=int),
             transmitted_scalars=transmitted,
         )

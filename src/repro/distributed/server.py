@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cr.coreset import Coreset, merge_coresets
+from repro.cr.coreset import Coreset
 from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.kmeans.lloyd import KMeansResult, WeightedKMeans
@@ -57,7 +57,6 @@ class EdgeServer:
         self.retry_budget: Optional[int] = None
         #: Downlink payloads the server failed to deliver within the budget.
         self.delivery_failures = 0
-        self._received_coresets: list[Coreset] = []
 
     # -------------------------------------------------------------- helpers
     def _timed(self, fn, *args, **kwargs):
@@ -87,19 +86,6 @@ class EdgeServer:
             raise
 
     # ------------------------------------------------------------------ API
-    def receive_coreset(self, coreset: Coreset) -> None:
-        """Store a coreset received from a data source."""
-        self._received_coresets.append(coreset)
-
-    def merged_coreset(self) -> Coreset:
-        """Union of all received per-source coresets."""
-        if not self._received_coresets:
-            raise RuntimeError("no coresets have been received")
-        return merge_coresets(self._received_coresets)
-
-    def clear(self) -> None:
-        self._received_coresets = []
-
     def solve_kmeans(self, coreset: Coreset) -> KMeansResult:
         """Weighted k-means on a coreset (the ``kmeans(S', w, k)`` step)."""
         solver = WeightedKMeans(

@@ -249,7 +249,7 @@ class ExperimentRunner:
         accepts.  An override no kind among ``names`` accepts raises
         ``TypeError`` (the silent-typo footgun: ``jl_dim=20`` used to run
         the wrong experiment without a warning); each factory is then
-        invoked strictly with the subset its kind accepts.  ``k`` and
+        invoked with only the subset its kind accepts.  ``k`` and
         ``seed`` are owned by the runner (the evaluation context is built
         for ``self.k``; seeds are the per-run Monte-Carlo seeds) and cannot
         be overridden here.  Multi-source compositions require
@@ -284,7 +284,7 @@ class ExperimentRunner:
                 key: value for key, value in overrides.items() if key in accepted
             }
             return lambda seed: registry.create_pipeline(
-                name, k=self.k, seed=seed, strict=True, **kind_overrides
+                name, k=self.k, seed=seed, **kind_overrides
             )
 
         for name in names:

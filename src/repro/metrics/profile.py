@@ -85,12 +85,12 @@ def communication_profile(
         "batch_size": int(cfg["batch_size"]),
     }
     for name in sorted(names):
-        # One merged config covers all kinds; select each kind's subset so
-        # create_pipeline can run strictly (no silent filtering).
+        # One merged config covers all kinds; select each kind's subset
+        # (create_pipeline rejects keys outside the kind).
         accepted = registry.accepted_kwargs(name)
         kwargs = {key: value for key, value in merged.items() if key in accepted}
         kwargs.update(pipeline_overrides or {})
-        pipeline = registry.create_pipeline(name, strict=True, **kwargs)
+        pipeline = registry.create_pipeline(name, **kwargs)
         if registry.is_multi_source(name):
             report = pipeline.run_on_dataset(
                 points,

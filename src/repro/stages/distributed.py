@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.cr.coreset import Coreset
+from repro.cr.coreset import Coreset, merge_coresets
 from repro.distributed.bklw import BKLWCoreset
 from repro.distributed.cluster import EdgeCluster
 from repro.distributed.conditions import DeliveryError
@@ -232,19 +232,17 @@ class RawGatherStage(DistributedStage):
         else:
             payloads = [source.points for source in active]
         # Transmission phase (serial, source order): metering stays
-        # deterministic whatever the compute interleaving was.
-        received = 0
+        # deterministic whatever the compute interleaving was.  Like disSS,
+        # the gather merges exactly the shards that arrived in this round.
+        received = []
         for source, payload in zip(active, payloads):
             try:
                 source.send_to_server(payload, tag="raw-data", significant_bits=bits)
             except DeliveryError:
                 network.mark_failed(source.node_id)
                 continue
-            cluster.server.receive_coreset(
-                Coreset(payload, np.ones(payload.shape[0]), shift=0.0)
-            )
-            received += 1
+            received.append(Coreset(payload, np.ones(payload.shape[0]), shift=0.0))
         network.advance_round()
         if not received:
             raise RuntimeError("NR gather: no shard reached the server")
-        return DistributedStageEffect(coreset=cluster.server.merged_coreset())
+        return DistributedStageEffect(coreset=merge_coresets(received))

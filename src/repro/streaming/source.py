@@ -227,48 +227,6 @@ class StreamingSource:
         self.tree.expire(batch_index)
         return self._transmit_delta(batch_index, None)
 
-    # ------------------------------------------------------- snapshotting
-    def snapshot(self) -> dict:
-        """JSON-able snapshot of the source's mutable stream state.
-
-        Covers the coreset tree, the wire bookkeeping (which buckets the
-        server already holds), and the counters.  The stage composition,
-        context, and network are configuration — re-supplied by the
-        constructor on restore.  The center-lift chain is *not* serialized
-        (lifts are closures): it is deterministic given the handshaken
-        stage seeds and rebuilds on the first batch compressed after a
-        restore, exactly as it was built on the stream's first batch.
-        """
-        return {
-            "source_id": self.source_id,
-            "tree": self.tree.snapshot(),
-            "compute_seconds": self.compute_seconds,
-            "batches_ingested": self.batches_ingested,
-            "quantizer_bits": self.quantizer_bits,
-            "delivery_failures": self.delivery_failures,
-            "shipped": sorted(self._shipped),
-        }
-
-    def restore(self, snapshot: dict) -> "StreamingSource":
-        """Replace this source's stream state with a :meth:`snapshot`'s
-        (the source must be constructed with the same configuration);
-        returns ``self`` for chaining."""
-        if snapshot.get("source_id") != self.source_id:
-            raise ValueError(
-                f"snapshot belongs to source {snapshot.get('source_id')!r}, "
-                f"this is {self.source_id!r}"
-            )
-        self.tree.restore(snapshot["tree"])
-        self.compute_seconds = float(snapshot.get("compute_seconds", 0.0))
-        self.batches_ingested = int(snapshot.get("batches_ingested", 0))
-        bits = snapshot.get("quantizer_bits")
-        self.quantizer_bits = None if bits is None else int(bits)
-        self.delivery_failures = int(snapshot.get("delivery_failures", 0))
-        self._shipped = {int(b) for b in snapshot.get("shipped", ())}
-        self.lifts = None
-        self._pending_quantizer = None
-        return self
-
     # ------------------------------------------------------------ internals
     def _transmit_delta(self, batch_index: int, quantizer) -> SourceUpdate:
         """Ship exactly the difference between server view and live buckets.

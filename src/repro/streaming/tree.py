@@ -161,66 +161,6 @@ class CoresetTree:
             del self._buckets[bid]
         return sorted(expired)
 
-    # ------------------------------------------------------- snapshotting
-    def snapshot(self) -> dict:
-        """JSON-able snapshot of the tree's complete mutable state.
-
-        Captures every live bucket (coresets serialized exactly through
-        :meth:`Coreset.to_state` — float64 survives the round trip
-        bit-for-bit), the id allocator, and the accounting counters.  The
-        ``reduce`` callable and ``window`` are *configuration*, re-supplied
-        by the constructor on restore.
-        """
-        return {
-            "window": self.window,
-            "next_id": self._next_id,
-            "merges": self.merges,
-            "max_live_buckets": self.max_live_buckets,
-            "max_resident_points": self.max_resident_points,
-            "buckets": [
-                {
-                    "bucket_id": b.bucket_id,
-                    "level": b.level,
-                    "first_batch": b.first_batch,
-                    "last_batch": b.last_batch,
-                    "frozen": b.frozen,
-                    "coreset": b.coreset.to_state(),
-                }
-                for b in self.live_buckets
-            ],
-        }
-
-    def restore(self, snapshot: dict) -> "CoresetTree":
-        """Replace this tree's state with a :meth:`snapshot`'s.
-
-        The tree must be *configured* compatibly (same ``window``) — the
-        snapshot carries state, not configuration; a mismatch raises before
-        any state is touched.  Returns ``self`` for chaining.
-        """
-        snap_window = snapshot.get("window")
-        if snap_window != self.window:
-            raise ValueError(
-                f"snapshot was taken with window={snap_window!r}, this tree "
-                f"has window={self.window!r}; construct the tree with the "
-                f"snapshot's configuration before restoring"
-            )
-        self._buckets = {
-            int(b["bucket_id"]): Bucket(
-                bucket_id=int(b["bucket_id"]),
-                level=int(b["level"]),
-                coreset=Coreset.from_state(b["coreset"]),
-                first_batch=int(b["first_batch"]),
-                last_batch=int(b["last_batch"]),
-                frozen=bool(b.get("frozen", False)),
-            )
-            for b in snapshot.get("buckets", ())
-        }
-        self._next_id = int(snapshot.get("next_id", 0))
-        self.merges = int(snapshot.get("merges", 0))
-        self.max_live_buckets = int(snapshot.get("max_live_buckets", 0))
-        self.max_resident_points = int(snapshot.get("max_resident_points", 0))
-        return self
-
     # ------------------------------------------------------------ internals
     def _allocate_id(self) -> int:
         bid = self._next_id

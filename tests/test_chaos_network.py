@@ -39,6 +39,12 @@ PIPELINE_KWARGS = dict(
 )
 
 
+def _kwargs_for(name: str) -> dict:
+    """The subset of the merged PIPELINE_KWARGS the composition's kind takes."""
+    accepted = registry.accepted_kwargs(name)
+    return {key: value for key, value in PIPELINE_KWARGS.items() if key in accepted}
+
+
 def _dropout_round(name: str) -> int:
     # nr-distributed completes in a single communication round, so the drop
     # must hit round 0; the multi-round protocols lose the source mid-way.
@@ -51,13 +57,12 @@ def _run(name: str, points, network_seed: int = 99, drop: bool = True):
     )
     pipeline = registry.create_pipeline(
         name,
-        strict=False,  # merged kwargs cover both kinds deliberately
         k=3,
         seed=123,
         network=CHAOS_CONDITION,
         fault_plan=fault_plan,
         network_seed=network_seed,
-        **PIPELINE_KWARGS,
+        **_kwargs_for(name),
     )
     if registry.is_multi_source(name):
         return pipeline.run_on_dataset(points, num_sources=NUM_SOURCES,
@@ -131,7 +136,7 @@ class TestChaosSingleSource:
 class TestChaosStreamingSemantics:
     def test_dropped_source_stops_contributing_batches(self, blob_points):
         ideal = registry.create_pipeline(
-            "stream-fss", strict=False, k=3, seed=123, **PIPELINE_KWARGS
+            "stream-fss", k=3, seed=123, **_kwargs_for("stream-fss")
         )
         healthy = ideal.run_on_dataset(blob_points, num_sources=NUM_SOURCES,
                                        partition_seed=7)
@@ -143,13 +148,12 @@ class TestChaosStreamingSemantics:
         # so the source is never excluded and participation stays full.
         pipeline = registry.create_pipeline(
             "stream-fss",
-            strict=False,
             k=3,
             seed=123,
             network=CHAOS_CONDITION,
             fault_plan=FaultPlan(flaky={"source-2": (1, 3)}),
             network_seed=99,
-            **PIPELINE_KWARGS,
+            **_kwargs_for("stream-fss"),
         )
         report = pipeline.run_on_dataset(blob_points, num_sources=NUM_SOURCES,
                                          partition_seed=7)

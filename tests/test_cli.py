@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro import api
+from repro.core import registry
 from repro.cli import (
-    ALGORITHMS,
     build_report_parser,
     build_run_parser,
     build_stream_parser,
@@ -28,7 +28,7 @@ class TestParser:
 
     def test_all_algorithms_accepted(self):
         parser = build_run_parser(flat=True)
-        for name in ALGORITHMS:
+        for name in registry.registered_names():
             args = parser.parse_args(["--algorithm", name])
             assert args.algorithm == name
 

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.distributed_pipelines import (
+from repro.core.registry import (
     BKLWPipeline,
     DistributedNoReductionPipeline,
     JLBKLWPipeline,
-    default_distributed_samples,
 )
 from repro.distributed.partition import partition_dataset
 from repro.kmeans.cost import kmeans_cost
 from repro.kmeans.lloyd import solve_reference_kmeans
 from repro.quantization.rounding import RoundingQuantizer
+from repro.stages.sizing import default_distributed_samples
 
 MULTI_PIPELINES = [DistributedNoReductionPipeline, BKLWPipeline, JLBKLWPipeline]
 REDUCTION_PIPELINES = [BKLWPipeline, JLBKLWPipeline]

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.pipelines import (
+from repro.core.registry import (
     FSSJLPipeline,
     FSSPipeline,
     JLFSSJLPipeline,
     JLFSSPipeline,
     NoReductionPipeline,
-    default_coreset_size,
-    default_jl_dimension,
 )
+from repro.stages.sizing import default_coreset_size, default_jl_dimension
 from repro.kmeans.cost import kmeans_cost
 from repro.kmeans.lloyd import solve_reference_kmeans
 from repro.quantization.rounding import RoundingQuantizer

@@ -87,17 +87,6 @@ class TestEdgeServer:
         assert result.centers.shape == (4, blob_points.shape[1])
         assert server.compute_seconds > 0.0
 
-    def test_receive_and_merge_coresets(self, blob_points):
-        network = SimulatedNetwork()
-        server = EdgeServer(network, k=2, seed=0)
-        server.receive_coreset(Coreset(blob_points[:10], np.ones(10)))
-        server.receive_coreset(Coreset(blob_points[10:30], np.ones(20)))
-        merged = server.merged_coreset()
-        assert merged.size == 30
-        server.clear()
-        with pytest.raises(RuntimeError):
-            server.merged_coreset()
-
     def test_global_svd(self, high_dim_points):
         network = SimulatedNetwork()
         server = EdgeServer(network, k=2, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import make_gaussian_mixture
 from repro.distributed.bklw import BKLWCoreset
 from repro.distributed.cluster import EdgeCluster
 from repro.distributed.dispca import DistributedPCA
@@ -156,6 +157,21 @@ class TestBKLW:
         server_result = cluster.server.solve_kmeans(result.coreset)
         cost = kmeans_cost(points, server_result.centers)
         assert cost <= reference.cost * 1.5
+
+    def test_reused_server_merges_only_its_own_round(self):
+        # A one-shot round merges exactly the sample sets that arrived in
+        # it: a second build on the same server must not fold the first
+        # round's coreset back in.
+        points, _, _ = make_gaussian_mixture(n=400, d=20, k=3, seed=0)
+        cluster = EdgeCluster.from_dataset(points, num_sources=4, k=3, seed=1)
+        builder = BKLWCoreset(k=3, pca_rank=5, total_samples=60)
+        log = cluster.network.log
+        builder.build(cluster.sources, cluster.server)
+        mark = len(log.messages)
+        second = builder.build(cluster.sources, cluster.server)
+        arrived = sum(m.scalars for m in log.messages[mark:]
+                      if m.tag == "disss-weights" and m.delivered)
+        assert second.coreset.size == arrived
 
     def test_resolved_samples_default(self, cluster):
         builder = BKLWCoreset(k=3)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipelines import JLFSSPipeline, NoReductionPipeline
-from repro.core.distributed_pipelines import BKLWPipeline
+from repro.core.registry import BKLWPipeline, JLFSSPipeline, NoReductionPipeline
 from repro.metrics.evaluation import EvaluationContext, evaluate_report
 from repro.metrics.experiment import (
     AlgorithmSummary,

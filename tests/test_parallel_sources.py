@@ -11,12 +11,12 @@ order-independence with ``jobs=1`` vs ``jobs=4``.
 import numpy as np
 import pytest
 
-from repro.core.distributed_pipelines import (
+from repro.core.registry import (
     BKLWPipeline,
     DistributedNoReductionPipeline,
     JLBKLWPipeline,
+    create_pipeline,
 )
-from repro.core.registry import create_pipeline
 from repro.datasets import make_gaussian_mixture
 from repro.distributed.partition import partition_dataset
 from repro.quantization.rounding import RoundingQuantizer
@@ -177,8 +177,7 @@ class TestRegistryJobsKnob:
         engine = create_pipeline("stream-fss", k=2, jobs=2)
         assert engine.jobs == 2
 
-    def test_single_source_factory_ignores_jobs(self):
-        # Single-source pipelines have one source; the knob is filtered out
-        # (deliberate lenient filtering; strict=True would raise).
-        pipeline = create_pipeline("fss", k=2, jobs=4, strict=False)
-        assert pipeline is not None
+    def test_single_source_factory_rejects_jobs(self):
+        # Single-source pipelines have one source, so the knob is not theirs.
+        with pytest.raises(TypeError, match="jobs"):
+            create_pipeline("fss", k=2, jobs=4)

@@ -33,15 +33,12 @@ class TestPublicAPI:
             importlib.import_module(module)
 
     def test_pipeline_classes_are_pipelines(self):
-        from repro.core.pipelines import SingleSourcePipeline
-        from repro.core.distributed_pipelines import MultiSourcePipeline
-
         for cls in (repro.FSSPipeline, repro.JLFSSPipeline, repro.FSSJLPipeline,
                     repro.JLFSSJLPipeline, repro.NoReductionPipeline):
-            assert issubclass(cls, SingleSourcePipeline)
+            assert issubclass(cls, repro.StagePipeline)
         for cls in (repro.BKLWPipeline, repro.JLBKLWPipeline,
                     repro.DistributedNoReductionPipeline):
-            assert issubclass(cls, MultiSourcePipeline)
+            assert issubclass(cls, repro.DistributedStagePipeline)
 
     def test_docstrings_present_on_public_classes(self):
         for name in ("JLFSSPipeline", "FSSCoreset", "JLProjection",
@@ -56,6 +53,7 @@ class TestExamplesCompile:
         "edge_single_source.py",
         "edge_multi_source.py",
         "quantization_tradeoff.py",
+        "declarative_experiments.py",
     ])
     def test_example_compiles(self, script):
         path = pathlib.Path(__file__).resolve().parents[1] / "examples" / script

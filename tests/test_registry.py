@@ -1,11 +1,20 @@
 """Tests for the pipeline registry and the registered novel compositions."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import registry
 from repro.core.engine import DistributedStagePipeline, StagePipeline
-from repro.core.pipelines import NoReductionPipeline
+from repro.core.registry import NoReductionPipeline
+from repro.core.streaming import StreamingEngine
+from repro.distributed.conditions import FaultPlan
+from repro.quantization.rounding import RoundingQuantizer
+from repro.stages.cr import FSSStage
+from repro.stages.distributed import BKLWStage, SharedJLStage
+from repro.stages.dr import JLStage
 from repro.cli import build_run_parser, run_spec
 from repro.metrics import ExperimentRunner
 
@@ -34,32 +43,34 @@ class TestRegistry:
         assert first is not second
 
     def test_create_filters_foreign_kwargs(self):
-        # A merged experiment config passes both kinds' arguments; each
-        # factory receives only what it accepts (strict=False opts into
-        # lenient filtering without the deprecation warning).
+        # A merged experiment config passes both kinds' arguments; a foreign
+        # key is refused, so the caller hands each kind its own subset.
+        merged = dict(k=2, seed=0, coreset_size=50, total_samples=40,
+                      second_jl_dimension=5)
+        with pytest.raises(TypeError, match="coreset_size"):
+            registry.create_pipeline("bklw", **merged)
+        accepted = registry.accepted_kwargs("bklw")
         pipeline = registry.create_pipeline(
-            "bklw", strict=False, k=2, seed=0, coreset_size=50,
-            total_samples=40, second_jl_dimension=5,
+            "bklw", **{key: value for key, value in merged.items() if key in accepted}
         )
-        assert pipeline.total_samples == 40
+        (stage,) = pipeline.build_stages()
+        assert stage.total_samples == 40
 
     def test_create_strict_rejects_unknown_kwargs(self):
         # The silent-kwarg-drop footgun: a typo like jl_dim=20 used to run
-        # the wrong experiment without a warning.  strict=True names the
+        # the wrong experiment without a warning.  The error names the
         # unknown keys and the accepted set for the kind.
         with pytest.raises(TypeError) as excinfo:
-            registry.create_pipeline("jl-fss", k=2, jl_dim=20, strict=True)
+            registry.create_pipeline("jl-fss", k=2, jl_dim=20)
         message = str(excinfo.value)
         assert "jl_dim" in message
         assert "jl_dimension" in message  # the accepted set is listed
         assert "single-source" in message
 
     def test_create_strict_by_default(self):
-        # The PR-5 deprecation completed: unknown kwargs raise without an
-        # explicit strict=True, and the error points at the opt-out.
-        with pytest.raises(TypeError, match="jl_dim") as excinfo:
-            registry.create_pipeline("jl-fss", k=2, jl_dim=20)
-        assert "strict=False" in str(excinfo.value)
+        # There is no lenient mode: ``strict`` is itself an unknown keyword.
+        with pytest.raises(TypeError, match="strict"):
+            registry.create_pipeline("jl-fss", k=2, strict=False)
 
     def test_accepted_kwargs_and_kind(self):
         assert registry.factory_kind("fss") == "single-source"
@@ -89,6 +100,98 @@ class TestRegistry:
             registry.make_stage_pipeline([], k=2, multi_source=True),
             DistributedStagePipeline,
         )
+
+
+CLASSIC_CLASSES = {
+    "nr": "NoReductionPipeline",
+    "fss": "FSSPipeline",
+    "jl-fss": "JLFSSPipeline",
+    "fss-jl": "FSSJLPipeline",
+    "jl-fss-jl": "JLFSSJLPipeline",
+    "nr-distributed": "DistributedNoReductionPipeline",
+    "bklw": "BKLWPipeline",
+    "jl-bklw": "JLBKLWPipeline",
+}
+ENGINES = {
+    "single-source": StagePipeline,
+    "multi-source": DistributedStagePipeline,
+    "streaming": StreamingEngine,
+}
+
+
+def every_keyword(name: str) -> dict:
+    """A value for every keyword a one-shot composition takes besides k."""
+    values = dict(
+        epsilon=0.25, delta=0.05, coreset_size=30, pca_rank=4, jl_dimension=9,
+        second_jl_dimension=7, total_samples=50, quantizer=RoundingQuantizer(8),
+        server_n_init=2, server_max_iterations=20, seed=4, stage_cache=None,
+        jobs=1, network="lossy", fault_plan=FaultPlan(), retries=2,
+        network_seed=5,
+    )
+    return {key: values[key] for key in registry.accepted_kwargs(name) if key != "k"}
+
+
+class TestCompositionTable:
+    """Every registered name is a row built through one constructor path."""
+
+    @pytest.mark.parametrize("name", sorted(CLASSIC_CLASSES))
+    def test_classic_rows_are_the_exported_classes(self, name):
+        cls = getattr(repro, CLASSIC_CLASSES[name])
+        assert registry.get_spec(name).factory is cls
+        assert cls.__name__ == CLASSIC_CLASSES[name]
+        assert len(cls.__doc__.strip()) > 20
+
+    @pytest.mark.parametrize("name", registry.registered_names())
+    def test_every_composition_builds_its_kinds_engine(self, name):
+        pipeline = registry.create_pipeline(name, k=2)
+        assert isinstance(pipeline, ENGINES[registry.factory_kind(name)])
+        assert pipeline.build_stages() or name == "nr"
+
+    @pytest.mark.parametrize("name", registry.registered_names())
+    def test_every_composition_pickles(self, name, blob_points):
+        kind = registry.factory_kind(name)
+        data = blob_points if kind == "single-source" else [blob_points]
+        pipeline = registry.create_pipeline(name, k=2, seed=1)
+        twin = pickle.loads(pickle.dumps(pipeline))
+        assert type(twin) is type(pipeline)
+        np.testing.assert_array_equal(
+            twin.run(data).centers, pipeline.run(data).centers
+        )
+
+    @pytest.mark.parametrize("name", sorted(CLASSIC_CLASSES))
+    def test_classic_classes_take_every_keyword_of_their_kind(self, name):
+        kwargs = every_keyword(name)
+        pipeline = getattr(repro, CLASSIC_CLASSES[name])(k=3, **kwargs)
+        assert (pipeline.k, pipeline.epsilon, pipeline.delta) == (3, 0.25, 0.05)
+        assert pipeline.quantizer is kwargs["quantizer"]
+        assert pipeline.network_condition.retries == 2
+        assert pipeline.network_condition.seed == 5
+
+    def test_geometry_reaches_the_stage_chain(self):
+        kwargs = every_keyword("jl-fss-jl")
+        first, fss, second = repro.JLFSSJLPipeline(k=3, **kwargs).build_stages()
+        assert isinstance(first, JLStage) and first.dimension == 9
+        assert isinstance(fss, FSSStage) and (fss.size, fss.pca_rank) == (30, 4)
+        assert isinstance(second, JLStage) and second.dimension == 7
+        kwargs = every_keyword("jl-bklw")
+        jl, bklw = repro.JLBKLWPipeline(k=3, **kwargs).build_stages()
+        assert isinstance(jl, SharedJLStage) and jl.dimension == 9
+        assert isinstance(bklw, BKLWStage)
+        assert (bklw.pca_rank, bklw.total_samples) == (4, 50)
+
+    def test_arguments_after_k_are_keyword_only(self):
+        assert repro.FSSPipeline(3).k == 3
+        with pytest.raises(TypeError):
+            repro.FSSPipeline(3, 0.2)
+
+    def test_kind_foreign_geometry_is_refused(self):
+        # total_samples is a geometry keyword, but not a single-source one:
+        # the chain must not swallow it.
+        with pytest.raises(TypeError, match="total_samples") as excinfo:
+            repro.FSSPipeline(k=2, total_samples=40)
+        assert "single-source" in str(excinfo.value)
+        with pytest.raises(TypeError, match="coreset_size"):
+            repro.BKLWPipeline(k=2, coreset_size=40)
 
 
 class TestNovelCompositionsSmoke:

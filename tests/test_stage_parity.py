@@ -12,14 +12,12 @@ also pin the engine's seed-handshake ordering against the seed behaviour.
 import numpy as np
 import pytest
 
-from repro.core.distributed_pipelines import (
+from repro.core.registry import (
     BKLWPipeline,
     DistributedNoReductionPipeline,
-    JLBKLWPipeline,
-)
-from repro.core.pipelines import (
     FSSJLPipeline,
     FSSPipeline,
+    JLBKLWPipeline,
     JLFSSJLPipeline,
     JLFSSPipeline,
     NoReductionPipeline,

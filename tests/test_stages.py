@@ -168,7 +168,7 @@ class TestAdHocCompositions:
 
     def test_pca_ss_matches_fss_wire_cost(self, high_dim_points):
         """PCA+SS recomposes FSS from primitives: identical wire geometry."""
-        from repro.core.pipelines import FSSPipeline
+        from repro.core.registry import FSSPipeline
 
         fss = FSSPipeline(k=3, seed=0, coreset_size=40, pca_rank=6).run(high_dim_points)
         recomposed = StagePipeline(

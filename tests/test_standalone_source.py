@@ -106,27 +106,6 @@ class TestWireFold:
 
 
 class TestGuards:
-    def test_window_mismatch_rejected_on_restore(self, batches):
-        windowed = make_engine(window=4).standalone_source(
-            "source-0", batches[0].shape
-        )
-        ingest_all(windowed, batches[:3])
-        snapshot = windowed.snapshot()
-        unwindowed = make_engine().standalone_source("source-0", batches[0].shape)
-        with pytest.raises(ValueError, match="window"):
-            unwindowed.restore(snapshot)
-
-    def test_matching_window_restores(self, batches):
-        windowed = make_engine(window=4).standalone_source(
-            "source-0", batches[0].shape
-        )
-        ingest_all(windowed, batches[:3])
-        snapshot = windowed.snapshot()
-        twin = make_engine(window=4).standalone_source("source-0", batches[0].shape)
-        twin.restore(snapshot)
-        assert twin.batches_ingested == 3
-        assert set(twin.tree.live_bucket_ids) == set(windowed.tree.live_bucket_ids)
-
     def test_tree_topology_refused(self, batches):
         engine = make_engine(topology="tree", fan_in=2)
         with pytest.raises(ValueError, match="star"):

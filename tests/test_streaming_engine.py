@@ -241,15 +241,16 @@ class TestRegistryIntegration:
 
     def test_create_pipeline_filters_streaming_kwargs(self, mixture):
         points, _ = mixture
+        merged = dict(k=3, coreset_size=50, jl_dimension=8, batch_size=500,
+                      total_samples=999, seed=2)
+        # total_samples is multi-source-only: passed as is, it is refused;
+        # the caller filters a merged config through accepted_kwargs.
+        with pytest.raises(TypeError, match="total_samples"):
+            registry.create_pipeline("stream-jl-ss", **merged)
+        accepted = registry.accepted_kwargs("stream-jl-ss")
         engine = registry.create_pipeline(
             "stream-jl-ss",
-            strict=False,
-            k=3,
-            coreset_size=50,
-            jl_dimension=8,
-            batch_size=500,
-            total_samples=999,  # multi-source-only kwarg: must be ignored
-            seed=2,
+            **{key: value for key, value in merged.items() if key in accepted},
         )
         assert isinstance(engine, StreamingEngine)
         report = engine.run([points[:1500]])
@@ -258,6 +259,9 @@ class TestRegistryIntegration:
     def test_window_default_of_windowed_spec(self):
         engine = registry.create_pipeline("stream-fss-window", k=2, seed=0)
         assert engine.window == 8
+        # A row default yields to the caller, and stays on its own row.
+        assert registry.create_pipeline("stream-fss-window", k=2, window=3).window == 3
+        assert registry.create_pipeline("stream-fss", k=2).window is None
 
     def test_run_registered_accepts_streaming(self, mixture):
         from repro.metrics import ExperimentRunner

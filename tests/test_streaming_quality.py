@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.pipelines import FSSPipeline
+from repro.core.registry import FSSPipeline
 from repro.core.streaming import StreamingEngine
 from repro.datasets import make_gaussian_mixture
 from repro.kmeans.cost import kmeans_cost

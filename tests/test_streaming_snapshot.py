@@ -1,5 +1,6 @@
-"""Snapshot/restore of streaming state: rng handshake, coreset trees,
-sources, and the server — mid-stream restoration must be bit-identical."""
+"""Snapshot/restore of streaming state: the rng handshake, the coreset
+state codec, and the server — mid-stream restoration must be
+bit-identical."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from repro.stages.base import StageContext
 from repro.stages.cr import UniformStage
 from repro.streaming.server import StreamingServer
 from repro.streaming.source import SourceUpdate, StreamingSource
-from repro.streaming.tree import CoresetTree
 from repro.utils import faultpoints
 from repro.utils.random import as_generator, generator_state, restore_generator
 
@@ -92,120 +92,13 @@ class TestCoresetState:
         np.testing.assert_array_equal(back.points, np.zeros((3, 2)))
 
     def test_list_form_state_is_refused(self):
-        """Format 1 (JSON lists) is refused by name, directly and on the
-        CoresetTree.restore path."""
+        """Format 1 (JSON lists) is refused by name."""
         coreset = make_coreset(as_generator(3))
         old = {"points": coreset.points.tolist(),
                "weights": coreset.weights.tolist(),
                "shift": coreset.shift, "dimension": coreset.dimension}
         with pytest.raises(ValueError, match="format-1 list form"):
             Coreset.from_state(old)
-        tree = CoresetTree(reduce=lambda c: c)
-        tree.insert(coreset, 0)
-        snapshot = roundtrip(tree.snapshot())
-        snapshot["buckets"][0]["coreset"] = old
-        with pytest.raises(ValueError, match="format-1 list form"):
-            CoresetTree(reduce=lambda c: c).restore(snapshot)
-
-
-class TestTreeSnapshot:
-    @staticmethod
-    def make_tree(window=None):
-        return CoresetTree(reduce=lambda c: c, window=window)
-
-    def test_restored_tree_continues_identically(self):
-        rng = as_generator(7)
-        batches = [make_coreset(rng) for _ in range(9)]
-        tree = self.make_tree()
-        for index, leaf in enumerate(batches[:6]):
-            tree.insert(leaf, index)
-        snap = roundtrip(tree.snapshot())
-
-        other = self.make_tree().restore(snap)
-        assert other.live_bucket_ids == tree.live_bucket_ids
-        np.testing.assert_array_equal(
-            other.merged_coreset().points, tree.merged_coreset().points
-        )
-        # The id allocator and merge cascade continue exactly in step.
-        for index, leaf in enumerate(batches[6:], start=6):
-            tree.insert(leaf, index)
-            other.insert(leaf, index)
-        assert other.live_bucket_ids == tree.live_bucket_ids
-        assert other.merges == tree.merges
-        np.testing.assert_array_equal(
-            other.merged_coreset().points, tree.merged_coreset().points
-        )
-
-    def test_windowed_tree_roundtrips_frozen_buckets(self):
-        rng = as_generator(8)
-        tree = self.make_tree(window=3)
-        for index in range(8):
-            tree.insert(make_coreset(rng), index)
-            tree.expire(index)
-        snap = roundtrip(tree.snapshot())
-        other = self.make_tree(window=3).restore(snap)
-        assert {b.bucket_id: b.frozen for b in other.live_buckets} == \
-            {b.bucket_id: b.frozen for b in tree.live_buckets}
-
-    def test_window_mismatch_raises_before_touching_state(self):
-        tree = self.make_tree(window=4)
-        tree.insert(make_coreset(as_generator(1)), 0)
-        snap = tree.snapshot()
-        other = self.make_tree(window=2)
-        other.insert(make_coreset(as_generator(2)), 0)
-        before = other.live_bucket_ids
-        with pytest.raises(ValueError, match="window=4"):
-            other.restore(snap)
-        assert other.live_bucket_ids == before
-
-
-def make_source(seed: int, source_rng) -> StreamingSource:
-    stage = UniformStage(10)
-    return StreamingSource(
-        "source-0",
-        [stage],
-        stage,
-        StageContext(k=2, epsilon=0.1, delta=0.1, rng=source_rng),
-        SimulatedNetwork(),
-    )
-
-
-class TestSourceSnapshot:
-    def test_restored_source_continues_identically(self):
-        data = as_generator(40)
-        batches = [data.random((30, 6)) for _ in range(6)]
-        source = make_source(1, as_generator(21))
-        for index in range(4):
-            source.ingest(batches[index], index)
-        # The source's stream state plus its context generator position
-        # together make the full checkpoint (the ctx is configuration the
-        # constructor re-supplies; its rng position rides beside it).
-        rng_state = roundtrip(generator_state(source.ctx.rng))
-        snap = roundtrip(source.snapshot())
-
-        twin = make_source(1, restore_generator(rng_state)).restore(snap)
-        assert twin.batches_ingested == source.batches_ingested
-        assert twin._shipped == source._shipped
-        for index in range(4, 6):
-            mine = source.ingest(batches[index], index)
-            theirs = twin.ingest(batches[index], index)
-            assert [b.bucket_id for b in theirs.added] == \
-                [b.bucket_id for b in mine.added]
-            assert theirs.retired_ids == mine.retired_ids
-            for a, b in zip(mine.added, theirs.added):
-                np.testing.assert_array_equal(b.coreset.points, a.coreset.points)
-                np.testing.assert_array_equal(b.coreset.weights, a.coreset.weights)
-        np.testing.assert_array_equal(
-            twin.tree.merged_coreset().points,
-            source.tree.merged_coreset().points,
-        )
-
-    def test_source_id_mismatch_raises(self):
-        source = make_source(1, as_generator(3))
-        snap = source.snapshot()
-        snap["source_id"] = "source-9"
-        with pytest.raises(ValueError, match="source-9"):
-            source.restore(snap)
 
 
 class TestServerSnapshot:
