@@ -150,8 +150,8 @@ class StagePipeline:
     Parameters
     ----------
     stages:
-        The stage composition to execute.  Subclasses may instead override
-        :meth:`build_stages`.
+        The stage composition to execute, kept as the read-only
+        :attr:`stages` tuple.
     k:
         Number of clusters.
     epsilon, delta:
@@ -195,7 +195,7 @@ class StagePipeline:
 
     def __init__(
         self,
-        stages: Optional[Sequence[Stage]] = None,
+        stages: Sequence[Stage],
         *,
         k: int,
         epsilon: float = 0.2,
@@ -225,22 +225,13 @@ class StagePipeline:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.stage_cache = stage_cache
         self._rng = as_generator(seed)
-        self._stages = None if stages is None else list(stages)
+        self.stages = tuple(stages)
         if name is not None:
             self.name = str(name)
 
     # -------------------------------------------------------------- assembly
-    def build_stages(self) -> List[Stage]:
-        """Return the stage composition for one run (by default, the
-        stages given at construction)."""
-        if self._stages is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} must be given stages or override build_stages()"
-            )
-        return list(self._stages)
-
     def _wire_stages(self) -> List[Stage]:
-        stages = self.build_stages()
+        stages = list(self.stages)
         if self.quantizer is not None:
             stages.append(QuantizeStage(self.quantizer))
         return stages
@@ -404,7 +395,7 @@ class DistributedStagePipeline:
 
     def __init__(
         self,
-        stages: Optional[Sequence[DistributedStage]] = None,
+        stages: Sequence[DistributedStage],
         *,
         k: int,
         epsilon: float = 1.0 / 3.0,
@@ -438,17 +429,9 @@ class DistributedStagePipeline:
         ).with_overrides(retries=retries, seed=network_seed)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._rng = as_generator(seed)
-        self._stages = None if stages is None else list(stages)
+        self.stages = tuple(stages)
         if name is not None:
             self.name = str(name)
-
-    # -------------------------------------------------------------- assembly
-    def build_stages(self) -> List[DistributedStage]:
-        if self._stages is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} must be given stages or override build_stages()"
-            )
-        return list(self._stages)
 
     @property
     def quantizer_bits(self) -> Optional[int]:
@@ -460,7 +443,6 @@ class DistributedStagePipeline:
         shards = [check_matrix(s, "shard") for s in shards]
         if not shards:
             raise ValueError("at least one shard is required")
-        stages = self.build_stages()
         ctx = DistributedStageContext(
             k=self.k,
             epsilon=self.epsilon,
@@ -476,7 +458,7 @@ class DistributedStagePipeline:
 
         # Seed handshake before the cluster exists: pre-shared randomness is
         # part of deployment configuration, not of the protocol run.
-        for stage in stages:
+        for stage in self.stages:
             stage.handshake(ctx)
 
         cluster = EdgeCluster.from_shards(
@@ -491,7 +473,7 @@ class DistributedStagePipeline:
         coreset = None
         lifts = []
         details: Dict[str, float] = {}
-        for stage in stages:
+        for stage in self.stages:
             effect = stage.apply_to_cluster(cluster, ctx)
             if effect.coreset is not None:
                 coreset = effect.coreset

@@ -113,7 +113,7 @@ class StreamingEngine(DistributedStagePipeline):
     stages:
         The composition applied to every batch; must contain exactly one CR
         stage (the first one found is also the tree's merge-and-reduce
-        compressor).  Subclasses may override :meth:`build_stages` instead.
+        compressor).
     k, epsilon, delta:
         Clustering problem parameters (same contract as StagePipeline).
     batch_size:
@@ -165,7 +165,7 @@ class StreamingEngine(DistributedStagePipeline):
 
     def __init__(
         self,
-        stages: Optional[Sequence[Stage]] = None,
+        stages: Sequence[Stage],
         *,
         k: int,
         epsilon: float = 0.2,
@@ -210,7 +210,7 @@ class StreamingEngine(DistributedStagePipeline):
         self.topology = topology
         self.fan_in = None if fan_in is None else check_positive_int(fan_in, "fan_in")
         self._rng = as_generator(seed)
-        self._stages = None if stages is None else list(stages)
+        self.stages = tuple(stages)
         if name is not None:
             self.name = str(name)
 
@@ -440,7 +440,7 @@ class StreamingEngine(DistributedStagePipeline):
 
     # ------------------------------------------------------------ internals
     def _wire_stages(self) -> List[Stage]:
-        stages = self.build_stages()
+        stages = list(self.stages)
         if self.quantizer is not None:
             stages.append(QuantizeStage(self.quantizer))
         return stages

@@ -13,7 +13,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.dr.jl import JLProjection
 from repro.kmeans.bicriteria import BicriteriaResult, bicriteria_approximation
@@ -53,11 +52,6 @@ class DataSourceNode:
         self.rng = as_generator(seed)
         #: Wall-clock seconds spent in local computation on this node.
         self.compute_seconds = 0.0
-        #: Per-node override of the network condition's retransmission
-        #: budget (``None`` defers to the condition).
-        self.retry_budget: Optional[int] = None
-        #: Payloads this node failed to deliver within the retry budget.
-        self.delivery_failures = 0
         # (bicriteria result, the exact points array it was computed on) —
         # lets the sampling step reuse the cached assignment safely: any
         # local transform (JL, projection) replaces self.points with a new
@@ -80,32 +74,22 @@ class DataSourceNode:
         self.compute_seconds += perf_counter() - start
         return result
 
-    def send_to_server(self, payload, tag: str, significant_bits: Optional[int] = None,
-                       scalars: Optional[int] = None, retries: Optional[int] = None):
+    def send_to_server(self, payload, tag: str, significant_bits: Optional[int] = None):
         """Transmit a payload to the edge server through the metered network.
 
-        Retries up to the retransmission budget (the explicit ``retries``
-        argument, else this node's :attr:`retry_budget`, else the network
-        condition's default); every attempt is metered.  Raises
-        :class:`~repro.distributed.conditions.DeliveryError` — and counts a
-        delivery failure — when the budget is exhausted, so the protocol
-        driver can exclude this source from the round.
+        Retries up to the network condition's retransmission budget; every
+        attempt is metered.  Raises
+        :class:`~repro.distributed.conditions.DeliveryError` when the budget
+        is exhausted, so the protocol driver can exclude this source from
+        the round.
         """
-        if retries is None:
-            retries = self.retry_budget
-        try:
-            return self.network.send(
-                sender=self.node_id,
-                receiver="server",
-                payload=payload,
-                tag=tag,
-                significant_bits=significant_bits,
-                scalars=scalars,
-                retries=retries,
-            )
-        except DeliveryError:
-            self.delivery_failures += 1
-            raise
+        return self.network.send(
+            sender=self.node_id,
+            receiver="server",
+            payload=payload,
+            tag=tag,
+            significant_bits=significant_bits,
+        )
 
     # ---------------------------------------------------------- local steps
     def apply_jl(self, projection: JLProjection) -> np.ndarray:

@@ -7,12 +7,11 @@ still timed separately for completeness.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cr.coreset import Coreset
-from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.kmeans.lloyd import KMeansResult, WeightedKMeans
 from repro.utils.clock import perf_counter
@@ -52,11 +51,6 @@ class EdgeServer:
         self.rng = as_generator(seed)
         #: Wall-clock seconds spent in server-side computation.
         self.compute_seconds = 0.0
-        #: Per-server override of the network condition's retransmission
-        #: budget for downlink messages (``None`` defers to the condition).
-        self.retry_budget: Optional[int] = None
-        #: Downlink payloads the server failed to deliver within the budget.
-        self.delivery_failures = 0
 
     # -------------------------------------------------------------- helpers
     def _timed(self, fn, *args, **kwargs):
@@ -65,25 +59,18 @@ class EdgeServer:
         self.compute_seconds += perf_counter() - start
         return result
 
-    def send_to_source(self, node_id: str, payload, tag: str,
-                       scalars: Optional[int] = None, retries: Optional[int] = None):
+    def send_to_source(self, node_id: str, payload, tag: str):
         """Downlink transmission (e.g. disSS sample-size allocation).
 
         Same retry-with-budget semantics as the uplink: attempts up to the
-        budget, every attempt metered, :class:`DeliveryError` — and a
-        delivery-failure count — when the source stays unreachable (the
-        protocol driver then excludes it from the round).
+        budget, every attempt metered,
+        :class:`~repro.distributed.conditions.DeliveryError` when the source
+        stays unreachable (the protocol driver then excludes it from
+        the round).
         """
-        if retries is None:
-            retries = self.retry_budget
-        try:
-            return self.network.send(
-                sender="server", receiver=node_id, payload=payload, tag=tag,
-                scalars=scalars, retries=retries,
-            )
-        except DeliveryError:
-            self.delivery_failures += 1
-            raise
+        return self.network.send(
+            sender="server", receiver=node_id, payload=payload, tag=tag,
+        )
 
     # ------------------------------------------------------------------ API
     def solve_kmeans(self, coreset: Coreset) -> KMeansResult:

@@ -14,8 +14,9 @@ All nearest-center passes funnel through one fused blockwise kernel
 and min-distances together inside a preallocated distance buffer, and
 :func:`assign_and_cost` additionally folds in the weighted cost — so callers
 that need all three (Lloyd iterations, samplers) pay one pass instead of
-three.  The kernels preserve the input floating dtype, enabling an opt-in
-``float32`` compute path.
+three.  Every public entry validates its inputs to ``float64``: the
+kernel's expanded distance formula is numerically unsafe in single
+precision.
 """
 
 from __future__ import annotations
@@ -36,20 +37,17 @@ def _nearest_center_pass(
     points: np.ndarray,
     centers: np.ndarray,
     labels: Optional[np.ndarray] = None,
-    dists: Optional[np.ndarray] = None,
-    second_dists: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """One fused blockwise sweep: nearest-center labels and/or distances.
+    """One fused blockwise sweep: nearest-center distances, and labels when
+    a ``labels`` array is given.
 
-    Writes into the provided output arrays (allocating any that are
-    ``None`` except ``labels``/``second_dists``, which are only computed when
-    requested) and reuses a single preallocated ``(block, k)`` distance
-    buffer across blocks.  Returns ``(labels, dists)``.
+    Writes the labels into ``labels`` and reuses a single preallocated
+    ``(block, k)`` distance buffer across blocks.  Returns
+    ``(labels, dists)``.
     """
     n = points.shape[0]
     k = centers.shape[0]
-    if dists is None:
-        dists = np.empty(n, dtype=np.result_type(points, centers))
+    dists = np.empty(n, dtype=np.result_type(points, centers))
     center_norms = squared_norms(centers)
     block = min(_BLOCK_ROWS, n)
     buf = np.empty((block, k), dtype=np.result_type(points, centers))
@@ -59,19 +57,12 @@ def _nearest_center_pass(
             points[start:stop], centers,
             b_squared_norms=center_norms, out=buf[: stop - start],
         )
-        if labels is None and second_dists is None:
+        if labels is None:
             dists[start:stop] = d2.min(axis=1)
             continue
         block_labels = d2.argmin(axis=1)
-        rows = np.arange(stop - start)
-        if labels is not None:
-            labels[start:stop] = block_labels
-        dists[start:stop] = d2[rows, block_labels]
-        if second_dists is not None:
-            # Mask out the winner and take the runner-up (used by the
-            # Hamerly-bounded Lloyd variant for its lower bounds).
-            d2[rows, block_labels] = np.inf
-            second_dists[start:stop] = d2.min(axis=1)
+        labels[start:stop] = block_labels
+        dists[start:stop] = d2[np.arange(stop - start), block_labels]
     return labels, dists
 
 
@@ -82,7 +73,7 @@ def _min_squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarra
 
 
 def assign_to_centers(
-    points: np.ndarray, centers: np.ndarray, preserve_dtype: bool = False
+    points: np.ndarray, centers: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Assign each point to its nearest center.
 
@@ -90,13 +81,9 @@ def assign_to_centers(
     of the nearest center of ``points[i]`` and ``squared_distances[i]`` the
     squared Euclidean distance to it.  Ties are broken toward the
     lowest-index center, matching the paper's "ties broken arbitrarily".
-
-    ``preserve_dtype=True`` opts into single-precision compute for float32
-    inputs (callers accept the reduced accuracy of the expanded distance
-    formula); the default promotes to float64.
     """
-    points = check_matrix(points, "points", preserve_dtype=preserve_dtype)
-    centers = check_matrix(centers, "centers", preserve_dtype=preserve_dtype)
+    points = check_matrix(points, "points")
+    centers = check_matrix(centers, "centers")
     labels = np.empty(points.shape[0], dtype=np.int64)
     labels, dists = _nearest_center_pass(points, centers, labels=labels)
     return labels, dists
@@ -107,7 +94,6 @@ def assign_and_cost(
     centers: np.ndarray,
     weights: Optional[np.ndarray] = None,
     shift: float = 0.0,
-    preserve_dtype: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Fused assignment + cost: one pass returns what three passes used to.
 
@@ -121,13 +107,9 @@ def assign_and_cost(
     labels (to update means), the distances (to reseed empty clusters), and
     the cost (to test convergence), and computing them together halves the
     number of full-data distance sweeps per iteration.
-
-    ``preserve_dtype=True`` opts float32 inputs into single-precision
-    compute (the solver's ``compute_dtype`` path); the default promotes to
-    float64.
     """
-    points = check_matrix(points, "points", preserve_dtype=preserve_dtype)
-    centers = check_matrix(centers, "centers", preserve_dtype=preserve_dtype)
+    points = check_matrix(points, "points")
+    centers = check_matrix(centers, "centers")
     weights = check_weights(weights, points.shape[0])
     labels = np.empty(points.shape[0], dtype=np.int64)
     labels, dists = _nearest_center_pass(points, centers, labels=labels)
@@ -171,7 +153,6 @@ def cluster_means(
     k: int,
     weights: Optional[np.ndarray] = None,
     return_totals: bool = False,
-    preserve_dtype: bool = False,
 ):
     """Weighted means of each cluster; empty clusters return a zero row.
 
@@ -186,19 +167,12 @@ def cluster_means(
     which callers like the Lloyd solver need anyway for empty-cluster
     detection — saving a redundant ``bincount`` pass.
     """
-    points = check_matrix(points, "points", preserve_dtype=preserve_dtype)
+    points = check_matrix(points, "points")
     weights = check_weights(weights, points.shape[0])
     labels = np.asarray(labels, dtype=np.int64)
     d = points.shape[1]
     totals = np.bincount(labels, weights=weights, minlength=k)
-    # Match the points' dtype so the float32 compute path does not allocate
-    # a promoted float64 copy of the data; float64 inputs are unaffected.
-    # (The per-cluster accumulation below always runs in float64: bincount
-    # sums its weights at double precision regardless of input dtype.)
-    if weights.dtype != points.dtype:
-        weighted = points * weights.astype(points.dtype)[:, None]
-    else:
-        weighted = points * weights[:, None]
+    weighted = points * weights[:, None]
     means = np.empty((k, d), dtype=float)
     for j in range(d):
         means[:, j] = np.bincount(labels, weights=weighted[:, j], minlength=k)

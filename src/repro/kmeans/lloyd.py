@@ -9,10 +9,7 @@ The iteration loop runs on the fused assignment/cost kernel
 (:func:`repro.kmeans.cost.assign_and_cost`): one blockwise sweep per
 iteration yields the labels, the min-distances, and the cost of the current
 centers together, where the naive loop paid three separate full-data passes
-(assign, cost, and a post-loop re-assignment).  An opt-in Hamerly-style
-accelerated mode (``accelerate="hamerly"``) additionally maintains per-point
-distance bounds and skips re-assigning points whose nearest center provably
-did not change.
+(assign, cost, and a post-loop re-assignment).
 """
 
 from __future__ import annotations
@@ -22,12 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kmeans.cost import (
-    _nearest_center_pass,
-    assign_and_cost,
-    assign_to_centers,
-    cluster_means,
-)
+from repro.kmeans.cost import assign_and_cost, assign_to_centers, cluster_means
 from repro.kmeans.seeding import kmeans_plus_plus
 from repro.utils.random import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import (
@@ -35,8 +27,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_weights,
 )
-
-_ACCELERATE_MODES = ("none", "hamerly")
 
 
 @dataclass
@@ -107,23 +97,6 @@ class WeightedKMeans:
         converged.
     seed:
         RNG seed or generator shared across restarts.
-    accelerate:
-        ``"none"`` (default) runs the exact fused Lloyd loop; ``"hamerly"``
-        opts into the bounded variant that skips re-assignment of provably
-        stable points.  Assignments are always exact, but the stopping rule
-        differs: the bounded variant ignores ``tolerance`` (exact costs are
-        what the bounds avoid computing) and iterates until no center moves.
-        It therefore matches the plain loop's labels/cost only when the
-        plain loop also runs to its fixed point (``tolerance=0``); at a
-        nonzero tolerance the plain loop stops earlier and the accelerated
-        result is at least as good.
-    compute_dtype:
-        Optional dtype (e.g. ``np.float32``) the iteration runs in.  ``None``
-        preserves the input dtype (``float64`` for standard inputs).  The
-        returned centers and cost are always reported in ``float64``.
-    local_trials:
-        Optional greedy k-means++ candidate count forwarded to the seeding
-        (``None`` keeps the classic single-candidate draws).
     """
 
     k: int
@@ -131,9 +104,6 @@ class WeightedKMeans:
     max_iterations: int = 100
     tolerance: float = 1e-6
     seed: SeedLike = None
-    accelerate: str = "none"
-    compute_dtype: Optional[np.dtype] = None
-    local_trials: Optional[int] = None
     _rng: np.random.Generator = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -142,12 +112,6 @@ class WeightedKMeans:
         self.max_iterations = check_positive_int(self.max_iterations, "max_iterations")
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
-        if self.accelerate not in _ACCELERATE_MODES:
-            raise ValueError(
-                f"accelerate must be one of {_ACCELERATE_MODES}, got {self.accelerate!r}"
-            )
-        if self.local_trials is not None:
-            self.local_trials = check_positive_int(self.local_trials, "local_trials")
         self._rng = as_generator(self.seed)
 
     # ------------------------------------------------------------------ API
@@ -161,8 +125,6 @@ class WeightedKMeans:
         weights = check_weights(weights, points.shape[0])
         if np.all(weights == 0):
             raise ValueError("all weights are zero; cannot cluster")
-        if self.compute_dtype is not None:
-            points = np.ascontiguousarray(points, dtype=self.compute_dtype)
 
         best: Optional[KMeansResult] = None
         for rng in spawn_generators(self._rng, self.n_init):
@@ -177,36 +139,12 @@ class WeightedKMeans:
         return self.fit(points, weights).labels
 
     # ------------------------------------------------------------ internals
-    def _seed_centers(
-        self, points: np.ndarray, k: int, weights: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        centers = kmeans_plus_plus(
-            points, k, weights=weights, seed=rng, local_trials=self.local_trials
-        )
-        if self.compute_dtype is not None:
-            centers = np.ascontiguousarray(centers, dtype=self.compute_dtype)
-        return centers
-
-    def _cluster_means(
-        self, points: np.ndarray, labels: np.ndarray, k: int, weights: np.ndarray
-    ):
-        means, totals = cluster_means(
-            points, labels, k, weights, return_totals=True,
-            preserve_dtype=self.compute_dtype is not None,
-        )
-        if self.compute_dtype is not None:
-            means = means.astype(self.compute_dtype)
-        return means, totals
-
     def _refill_empty(
         self, points: np.ndarray, new_centers: np.ndarray, occupied: np.ndarray
     ) -> None:
         """Re-seed empty clusters at the points farthest from their centers,
         keeping exactly k distinct centers whenever possible (in place)."""
-        _, d2 = assign_to_centers(
-            points, new_centers[occupied],
-            preserve_dtype=self.compute_dtype is not None,
-        )
+        _, d2 = assign_to_centers(points, new_centers[occupied])
         refill = np.flatnonzero(~occupied)
         farthest = _farthest_indices(d2, refill.size)
         for slot, idx in zip(refill, farthest):
@@ -218,10 +156,8 @@ class WeightedKMeans:
         weights: np.ndarray,
         rng: np.random.Generator,
     ) -> KMeansResult:
-        if self.accelerate == "hamerly":
-            return self._single_run_hamerly(points, weights, rng)
         k = min(self.k, points.shape[0])
-        centers = self._seed_centers(points, k, weights, rng)
+        centers = kmeans_plus_plus(points, k, weights=weights, seed=rng)
         previous_cost = np.inf
         converged = False
         iteration = 0
@@ -232,135 +168,31 @@ class WeightedKMeans:
         # — exactly the quantities the naive loop recomputed in separate
         # sweeps.  The final iteration's labels/cost are returned directly
         # (the old post-loop re-assignment recomputed both redundantly).
-        preserve = self.compute_dtype is not None
-        labels, _, _ = assign_and_cost(points, centers, weights, preserve_dtype=preserve)
+        labels, _, _ = assign_and_cost(points, centers, weights)
         cost = np.inf
         for iteration in range(1, self.max_iterations + 1):
-            new_centers, totals = self._cluster_means(points, labels, k, weights)
+            new_centers, totals = cluster_means(
+                points, labels, k, weights, return_totals=True
+            )
             occupied = totals > 0
             if not occupied.all():
                 self._refill_empty(points, new_centers, occupied)
             centers = new_centers
-            labels, _, cost = assign_and_cost(
-                points, centers, weights, preserve_dtype=preserve
-            )
+            labels, _, cost = assign_and_cost(points, centers, weights)
             # NOTE: with previous_cost = inf, any tolerance > 0 makes this
             # comparison inf <= inf on the first iteration, i.e. the
             # default-tolerance solver performs exactly one mean update per
             # restart (quality comes from the k-means++ seeding and the
             # restarts).  This is the seed implementation's behaviour,
             # preserved bit for bit because every seeded golden value in the
-            # repo pins it; run with tolerance=0 (or accelerate="hamerly")
-            # to iterate to the fixed point.
+            # repo pins it; run with tolerance=0 to iterate to the fixed
+            # point.
             if previous_cost - cost <= self.tolerance * max(previous_cost, 1e-300):
                 converged = True
                 previous_cost = cost
                 break
             previous_cost = cost
 
-        return self._finalize(centers, labels, float(cost), iteration, converged, k)
-
-    def _single_run_hamerly(
-        self,
-        points: np.ndarray,
-        weights: np.ndarray,
-        rng: np.random.Generator,
-    ) -> KMeansResult:
-        """Lloyd with Hamerly-style center-movement bounds (opt-in).
-
-        Maintains, per point, an upper bound on the distance to its assigned
-        center and a lower bound on the distance to every other center.
-        After a mean update that moves center ``j`` by ``δ_j``, the bounds
-        degrade by ``δ_{a(i)}`` / ``max_j δ_j``; points whose upper bound
-        stays below their lower bound provably keep their assignment and are
-        skipped.  Assignments are always exact (bounds only ever skip
-        provably-stable points), so the algorithm visits the same fixed
-        points as the plain loop.  ``tolerance`` is ignored — per-iteration
-        exact costs are precisely what the bounds avoid computing — and the
-        loop instead converges when an iteration moves no center (see the
-        ``accelerate`` parameter docs for how that relates to plain mode).
-        """
-        n = points.shape[0]
-        k = min(self.k, n)
-        preserve = self.compute_dtype is not None
-        centers = self._seed_centers(points, k, weights, rng)
-
-        labels = np.empty(n, dtype=np.int64)
-        upper_sq = np.empty(n, dtype=np.result_type(points, centers))
-        lower_sq = np.empty(n, dtype=np.result_type(points, centers))
-        _nearest_center_pass(points, centers, labels=labels, dists=upper_sq,
-                             second_dists=lower_sq)
-        # Hamerly bounds live in Euclidean (not squared) distance space,
-        # where the triangle inequality holds.
-        upper = np.sqrt(upper_sq)
-        lower = np.sqrt(lower_sq)
-
-        converged = False
-        iteration = 0
-        for iteration in range(1, self.max_iterations + 1):
-            new_centers, totals = self._cluster_means(points, labels, k, weights)
-            occupied = totals > 0
-            refilled = False
-            if not occupied.all():
-                self._refill_empty(points, new_centers, occupied)
-                refilled = True
-
-            shifts = np.sqrt(
-                np.einsum("ij,ij->i", new_centers - centers, new_centers - centers)
-            )
-            centers = new_centers
-            if not refilled and float(shifts.max(initial=0.0)) == 0.0:
-                converged = True
-                break
-
-            if refilled:
-                # Reseeding invalidates the bounds wholesale; rebuild.
-                _nearest_center_pass(points, centers, labels=labels,
-                                     dists=upper_sq, second_dists=lower_sq)
-                np.sqrt(upper_sq, out=upper)
-                np.sqrt(lower_sq, out=lower)
-                continue
-
-            upper += shifts[labels]
-            lower -= shifts.max()
-
-            candidates = np.flatnonzero(upper > lower)
-            if candidates.size:
-                # Tighten: the exact distance to the currently-assigned
-                # center often re-establishes the bound without a full pass.
-                diff = points[candidates] - centers[labels[candidates]]
-                exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                upper[candidates] = exact
-                stale = candidates[exact > lower[candidates]]
-                if stale.size:
-                    new_labels = np.empty(stale.size, dtype=np.int64)
-                    best = np.empty(stale.size, dtype=upper_sq.dtype)
-                    second = np.empty(stale.size, dtype=upper_sq.dtype)
-                    _nearest_center_pass(
-                        points[stale], centers,
-                        labels=new_labels, dists=best, second_dists=second,
-                    )
-                    labels[stale] = new_labels
-                    upper[stale] = np.sqrt(best)
-                    lower[stale] = np.sqrt(second)
-
-        # One exact fused pass pins the returned labels/cost to the final
-        # centers (bounds are upper bounds, not exact distances).
-        labels, _, cost = assign_and_cost(
-            points, centers, weights, preserve_dtype=preserve
-        )
-        return self._finalize(centers, labels, float(cost), iteration, converged, k)
-
-    def _finalize(
-        self,
-        centers: np.ndarray,
-        labels: np.ndarray,
-        cost: float,
-        iteration: int,
-        converged: bool,
-        k: int,
-    ) -> KMeansResult:
-        centers = np.asarray(centers, dtype=np.float64)
         if k < self.k:
             # Pad with copies of existing centers so downstream code always
             # sees exactly self.k rows.
@@ -369,7 +201,7 @@ class WeightedKMeans:
         return KMeansResult(
             centers=centers,
             labels=labels,
-            cost=cost,
+            cost=float(cost),
             iterations=iteration,
             converged=converged,
         )

@@ -32,7 +32,6 @@ def kmeans_plus_plus(
     k: int,
     weights: Optional[np.ndarray] = None,
     seed: SeedLike = None,
-    local_trials: Optional[int] = None,
 ) -> np.ndarray:
     """k-means++ seeding on a weighted point set.
 
@@ -47,11 +46,6 @@ def kmeans_plus_plus(
         point is proportional to ``weight * D(point)^2``.
     seed:
         RNG seed or generator.
-    local_trials:
-        Optional greedy variant (scikit-learn style): draw this many
-        candidates per step and keep the one that reduces the potential
-        ``sum(w * D^2)`` most.  ``None`` (default) keeps the classic
-        single-candidate draw — and its exact RNG stream.
 
     Returns
     -------
@@ -64,8 +58,6 @@ def kmeans_plus_plus(
     weights = check_weights(weights, n)
     rng = as_generator(seed)
     k = min(k, n)
-    if local_trials is not None:
-        local_trials = check_positive_int(local_trials, "local_trials")
 
     total_weight = weights.sum()
     if total_weight <= 0:
@@ -89,28 +81,13 @@ def kmeans_plus_plus(
             # among not-yet-chosen indices to keep centers distinct if possible.
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             pick = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
-            new_d = pairwise_squared_distances(
-                points, points[[pick]],
-                a_squared_norms=point_norms, b_squared_norms=point_norms[[pick]],
-            ).ravel()
-        elif local_trials is None or local_trials <= 1:
-            pick = weighted_index_from_scores(rng, scores)
-            new_d = pairwise_squared_distances(
-                points, points[[pick]],
-                a_squared_norms=point_norms, b_squared_norms=point_norms[[pick]],
-            ).ravel()
         else:
-            candidates = weighted_index_from_scores(rng, scores, size=local_trials)
-            candidate_d = pairwise_squared_distances(
-                points, points[candidates],
-                a_squared_norms=point_norms, b_squared_norms=point_norms[candidates],
-            )
-            np.minimum(candidate_d, closest[:, None], out=candidate_d)
-            potentials = weights @ candidate_d
-            best = int(np.argmin(potentials))
-            pick = int(candidates[best])
-            new_d = candidate_d[:, best]
+            pick = weighted_index_from_scores(rng, scores)
         chosen.append(pick)
+        new_d = pairwise_squared_distances(
+            points, points[[pick]],
+            a_squared_norms=point_norms, b_squared_norms=point_norms[[pick]],
+        ).ravel()
         np.minimum(closest, new_d, out=closest)
 
     return points[np.asarray(chosen, dtype=int)].copy()

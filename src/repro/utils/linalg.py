@@ -19,9 +19,10 @@ def as_float_array(points: np.ndarray) -> np.ndarray:
     """Return ``points`` as a float array, preserving ``float32``/``float64``.
 
     Contiguous float arrays pass through without a copy; every other dtype is
-    cast to ``float64`` (the library-wide default).  This is the dtype policy
-    of all numerical kernels: computations run in the input's precision, so a
-    caller opting into ``float32`` keeps the smaller footprint end to end.
+    cast to ``float64`` (the library-wide default).  The helpers built on it
+    compute in the input's precision for direct callers; the validating
+    entry points (:func:`repro.utils.validation.check_matrix`) have already
+    promoted ``float32`` to ``float64`` before their data reaches them.
     """
     arr = np.asarray(points)
     if arr.dtype == np.float32 or arr.dtype == np.float64:
@@ -58,9 +59,11 @@ def pairwise_squared_distances(
     sweeps reuse one buffer across blocks instead of allocating a distance
     matrix per block.
 
-    The computation preserves the input floating dtype: ``float32`` inputs
-    are processed (and returned) in ``float32`` without a silent promotion
-    copy; contiguous ``float64`` inputs are used as-is, copy-free.
+    The computation preserves the input floating dtype: a direct caller's
+    ``float32`` inputs are processed (and returned) in ``float32`` without a
+    silent promotion copy; contiguous ``float64`` inputs are used as-is,
+    copy-free.  Library data reaches it as ``float64``, since every
+    validating entry point promotes first.
     """
     a = np.atleast_2d(as_float_array(a))
     b = np.atleast_2d(as_float_array(b))

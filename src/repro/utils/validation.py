@@ -17,27 +17,18 @@ def check_matrix(
     min_rows: int = 1,
     min_cols: int = 1,
     allow_empty: bool = False,
-    preserve_dtype: bool = False,
 ) -> np.ndarray:
     """Validate and return a 2-D float array of data points.
 
     A 1-D array is promoted to a single-row matrix.  Raises ``ValueError`` on
     wrong dimensionality, NaN/Inf entries, or too-small shapes.
 
-    By default everything is cast to ``float64`` (contiguous float64 input
-    passes through copy-free): the distance kernels use the expanded
+    Everything is cast to ``float64`` (contiguous float64 input passes
+    through copy-free): the distance kernels use the expanded
     ``|x|² − 2x·y + |y|²`` formula, which is numerically unsafe in single
-    precision, so float32 data must never flow into them *implicitly*.
-    ``preserve_dtype=True`` keeps ``float32`` as-is — used only by callers
-    that explicitly opted into the single-precision path (e.g.
-    ``WeightedKMeans(compute_dtype=np.float32)``).
+    precision.
     """
-    if preserve_dtype:
-        arr = np.asarray(points)
-        if arr.dtype != np.float32 and arr.dtype != np.float64:
-            arr = np.asarray(points, dtype=np.float64)
-    else:
-        arr = np.asarray(points, dtype=np.float64)
+    arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
@@ -91,7 +82,10 @@ def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
 def check_fraction(value: float, name: str, low: float = 0.0, high: float = 1.0,
                    inclusive_low: bool = False, inclusive_high: bool = False) -> float:
     """Validate a fraction-like parameter such as epsilon or delta."""
-    value = float(value)
+    try:
+        value = float(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {type(value)!r}") from None
     ok_low = value >= low if inclusive_low else value > low
     ok_high = value <= high if inclusive_high else value < high
     if not (ok_low and ok_high):

@@ -1,5 +1,5 @@
-"""Tests for the fast numerical core: fused kernels, fast samplers,
-pruned/accelerated Lloyd, and dtype preservation.
+"""Tests for the fast numerical core: fused kernels, fast samplers, the
+trusted bicriteria loop, validate-once counts, and the dtype policy.
 
 Three contracts are pinned here:
 
@@ -7,10 +7,10 @@ Three contracts are pinned here:
    and the incremental bicriteria sweep must match their naive formulations
    bit for bit (the registry's golden communication values depend on the
    exact RNG draw sequence, so "equivalent" is not enough).
-2. **Determinism** — seeded runs reproduce exactly, including through the
-   greedy k-means++ variant and the float32 compute path.
-3. **Equivalence** — the opt-in Hamerly-accelerated Lloyd reaches the same
-   labels and cost as the plain loop on separated synthetic data.
+2. **Determinism** — seeded sampler runs reproduce exactly.
+3. **Dtype policy** — the validating kernels promote ``float32`` input to
+   ``float64``; the linear-algebra helpers pass it through, copy-free, for
+   direct callers.
 """
 
 import sys
@@ -21,7 +21,6 @@ import pytest
 from repro.core import streaming as streaming_engine
 from repro.core.streaming import StreamingEngine
 from repro.cr.fss import FSSCoreset
-from repro.datasets import make_gaussian_mixture
 from repro.datasets.streams import iter_batches
 from repro.distributed.network import SimulatedNetwork
 from repro.distributed.node import DataSourceNode
@@ -33,7 +32,6 @@ from repro.kmeans.cost import (
     cluster_means,
     weighted_kmeans_cost,
 )
-from repro.kmeans.lloyd import WeightedKMeans
 from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
 from repro.stages.cr import UniformStage
 from repro.utils.linalg import pairwise_squared_distances
@@ -173,29 +171,6 @@ class TestSearchsortedSamplers:
             points, None, 30, weights=weights, seed=3, min_squared_distances=closest
         )
         np.testing.assert_array_equal(ia, ib)
-
-    def test_greedy_local_trials_not_worse(self, data):
-        """The greedy variant's seeding potential is no worse on average."""
-        points, weights = data
-
-        def potential(centers):
-            return weighted_kmeans_cost(points, centers, weights)
-
-        plain = np.mean([
-            potential(kmeans_plus_plus(points, 8, weights=weights, seed=s))
-            for s in range(5)
-        ])
-        greedy = np.mean([
-            potential(kmeans_plus_plus(points, 8, weights=weights, seed=s, local_trials=4))
-            for s in range(5)
-        ])
-        assert greedy <= plain * 1.05
-
-    def test_greedy_local_trials_deterministic(self, data):
-        points, weights = data
-        a = kmeans_plus_plus(points, 5, weights=weights, seed=2, local_trials=3)
-        b = kmeans_plus_plus(points, 5, weights=weights, seed=2, local_trials=3)
-        np.testing.assert_array_equal(a, b)
 
 
 def reference_bicriteria(points, k, weights=None, rounds=None, seed=None,
@@ -449,46 +424,6 @@ class TestStreamingValidatesOnce:
         assert a.communication_bits == b.communication_bits
 
 
-HAMERLY_DATASETS = [
-    dict(n=600, d=8, k=4, separation=10.0, cluster_std=1.0, seed=1),
-    dict(n=900, d=15, k=3, separation=8.0, cluster_std=1.5, seed=2),
-    dict(n=500, d=25, k=5, separation=12.0, cluster_std=0.8, seed=3),
-]
-
-
-class TestHamerlyEquivalence:
-    @pytest.mark.parametrize("spec", HAMERLY_DATASETS, ids=["ds1", "ds2", "ds3"])
-    def test_same_labels_and_cost_as_plain(self, spec):
-        points, _, _ = make_gaussian_mixture(**spec)
-        k = spec["k"]
-        # tolerance=0 runs both variants to their common fixed point.
-        plain = WeightedKMeans(
-            k=k, n_init=2, max_iterations=200, tolerance=0.0, seed=99
-        ).fit(points)
-        fast = WeightedKMeans(
-            k=k, n_init=2, max_iterations=200, tolerance=0.0, seed=99,
-            accelerate="hamerly",
-        ).fit(points)
-        np.testing.assert_array_equal(plain.labels, fast.labels)
-        assert fast.cost == pytest.approx(plain.cost, rel=1e-9)
-        np.testing.assert_allclose(fast.centers, plain.centers, rtol=1e-9, atol=1e-9)
-
-    def test_invalid_accelerate_mode_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedKMeans(k=2, accelerate="elkan")
-
-    def test_hamerly_weighted(self, data):
-        points, weights = data
-        plain = WeightedKMeans(
-            k=3, n_init=1, max_iterations=100, tolerance=0.0, seed=4
-        ).fit(points, weights)
-        fast = WeightedKMeans(
-            k=3, n_init=1, max_iterations=100, tolerance=0.0, seed=4,
-            accelerate="hamerly",
-        ).fit(points, weights)
-        assert fast.cost == pytest.approx(plain.cost, rel=1e-9)
-
-
 class TestFloat32Path:
     def test_pairwise_preserves_float32(self):
         a = np.random.default_rng(0).standard_normal((40, 6)).astype(np.float32)
@@ -515,26 +450,10 @@ class TestFloat32Path:
         assert result is out
         np.testing.assert_array_equal(out, pairwise_squared_distances(a, b))
 
-    def test_float32_solver_close_to_float64(self, data):
-        points, weights = data
-        exact = WeightedKMeans(k=3, n_init=2, seed=8).fit(points, weights)
-        single = WeightedKMeans(
-            k=3, n_init=2, seed=8, compute_dtype=np.float32
-        ).fit(points, weights)
-        assert single.centers.dtype == np.float64  # reported in full precision
-        assert single.cost == pytest.approx(exact.cost, rel=1e-3)
-
-    def test_assign_and_cost_float32_is_opt_in(self, data):
+    def test_assign_and_cost_promotes_float32(self, data):
         points, _ = data
         pts32 = points.astype(np.float32)
-        labels64, d2_default, _ = assign_and_cost(points, points[:4])
-        # Default: float32 input is promoted to float64 at the validation
-        # boundary — the expanded distance formula is unsafe in single
-        # precision, so low precision must never be implicit.
+        # float32 input is promoted to float64 at the validation boundary:
+        # the expanded distance formula is unsafe in single precision.
         _, d2_promoted, _ = assign_and_cost(pts32, pts32[:4])
         assert d2_promoted.dtype == np.float64
-        # Opt-in: the caller accepts single-precision compute.
-        labels32, d2, cost = assign_and_cost(pts32, pts32[:4], preserve_dtype=True)
-        assert d2.dtype == np.float32
-        # Separated data: the assignment itself agrees across precisions.
-        assert np.mean(labels64 == labels32) > 0.999

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.kmeans.cost import kmeans_cost
+from repro.datasets import make_gaussian_mixture
+from repro.kmeans.cost import (
+    assign_to_centers,
+    cluster_means,
+    kmeans_cost,
+    weighted_kmeans_cost,
+)
 from repro.kmeans.lloyd import KMeansResult, WeightedKMeans, solve_reference_kmeans
 
 
@@ -70,6 +76,64 @@ class TestWeightedKMeans:
         points = np.tile(np.array([[1.0, 2.0]]), (20, 1))
         result = WeightedKMeans(k=3, n_init=1, seed=0).fit(points)
         assert result.cost == pytest.approx(0.0, abs=1e-12)
+
+
+# Overlapping mixtures of differing shape: at tolerance=0 each takes
+# several mean updates to settle.
+FIXED_POINT_DATASETS = [
+    dict(n=600, d=8, k=4, separation=2.0, cluster_std=1.0, seed=1),
+    dict(n=900, d=15, k=3, separation=2.0, cluster_std=1.5, seed=2),
+    dict(n=500, d=25, k=5, separation=2.0, cluster_std=0.8, seed=3),
+]
+
+
+def assert_lloyd_fixed_point(result, points, k, weights=None):
+    """Another Lloyd update would leave ``result`` where it is."""
+    assert result.converged
+    labels, _ = assign_to_centers(points, result.centers)
+    np.testing.assert_array_equal(result.labels, labels)
+    np.testing.assert_array_equal(
+        result.centers, cluster_means(points, result.labels, k, weights)
+    )
+    assert result.cost == pytest.approx(
+        weighted_kmeans_cost(points, result.centers, weights), rel=1e-12
+    )
+
+
+class TestLloydFixedPoint:
+    def test_default_tolerance_stops_after_one_update(self):
+        # The first convergence test reads inf <= inf at any tolerance > 0,
+        # so each restart performs one mean update; tolerance=0 runs the
+        # loop on and ends at a lower cost.
+        points, _, _ = make_gaussian_mixture(n=600, d=4, k=4, separation=2.0, seed=3)
+        one = WeightedKMeans(k=4, n_init=2, seed=1).fit(points)
+        full = WeightedKMeans(k=4, n_init=2, tolerance=0.0, seed=1).fit(points)
+        assert one.iterations == 1
+        assert full.converged and full.iterations > 1
+        assert full.cost < one.cost
+        assert_lloyd_fixed_point(full, points, 4)
+
+    @pytest.mark.parametrize("spec", FIXED_POINT_DATASETS, ids=["ds1", "ds2", "ds3"])
+    def test_zero_tolerance_reaches_a_fixed_point(self, spec):
+        points, _, _ = make_gaussian_mixture(**spec)
+        k = spec["k"]
+        result = WeightedKMeans(
+            k=k, n_init=2, max_iterations=200, tolerance=0.0, seed=99
+        ).fit(points)
+        assert 2 < result.iterations < 200
+        assert_lloyd_fixed_point(result, points, k)
+
+    def test_weighted_zero_tolerance_reaches_a_fixed_point(self):
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal((3000, 17)) * 2.0
+        points[1000:2000] += 8.0
+        points[2000:] -= 8.0
+        weights = rng.random(3000) + 0.05
+        result = WeightedKMeans(
+            k=3, n_init=1, max_iterations=100, tolerance=0.0, seed=4
+        ).fit(points, weights)
+        assert result.iterations < 100
+        assert_lloyd_fixed_point(result, points, 3, weights)
 
 
 class TestReferenceSolver:

@@ -53,7 +53,7 @@ class TestRegistry:
         pipeline = registry.create_pipeline(
             "bklw", **{key: value for key, value in merged.items() if key in accepted}
         )
-        (stage,) = pipeline.build_stages()
+        (stage,) = pipeline.stages
         assert stage.total_samples == 40
 
     def test_create_strict_rejects_unknown_kwargs(self):
@@ -145,7 +145,7 @@ class TestCompositionTable:
     def test_every_composition_builds_its_kinds_engine(self, name):
         pipeline = registry.create_pipeline(name, k=2)
         assert isinstance(pipeline, ENGINES[registry.factory_kind(name)])
-        assert pipeline.build_stages() or name == "nr"
+        assert pipeline.stages or name == "nr"
 
     @pytest.mark.parametrize("name", registry.registered_names())
     def test_every_composition_pickles(self, name, blob_points):
@@ -169,12 +169,12 @@ class TestCompositionTable:
 
     def test_geometry_reaches_the_stage_chain(self):
         kwargs = every_keyword("jl-fss-jl")
-        first, fss, second = repro.JLFSSJLPipeline(k=3, **kwargs).build_stages()
+        first, fss, second = repro.JLFSSJLPipeline(k=3, **kwargs).stages
         assert isinstance(first, JLStage) and first.dimension == 9
         assert isinstance(fss, FSSStage) and (fss.size, fss.pca_rank) == (30, 4)
         assert isinstance(second, JLStage) and second.dimension == 7
         kwargs = every_keyword("jl-bklw")
-        jl, bklw = repro.JLBKLWPipeline(k=3, **kwargs).build_stages()
+        jl, bklw = repro.JLBKLWPipeline(k=3, **kwargs).stages
         assert isinstance(jl, SharedJLStage) and jl.dimension == 9
         assert isinstance(bklw, BKLWStage)
         assert (bklw.pca_rank, bklw.total_samples) == (4, 50)

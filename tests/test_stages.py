@@ -190,6 +190,6 @@ class TestAdHocCompositions:
         assert report.quantizer_bits == 8
         assert report.communication_bits < report.communication_scalars * 64
 
-    def test_stageless_pipeline_requires_stages(self, high_dim_points):
-        with pytest.raises(NotImplementedError):
-            StagePipeline(k=3).run(high_dim_points)
+    def test_stageless_pipeline_requires_stages(self):
+        with pytest.raises(TypeError):
+            StagePipeline(k=3)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import repro
 from repro.core import registry
 from repro.core.streaming import StreamingEngine
 from repro.cr.fss import FSSCoreset
@@ -125,6 +126,19 @@ class TestCheckFraction:
         assert check_fraction(0.3, "eps", high=1.0 / 3.0, inclusive_high=True) == 0.3
         with pytest.raises(ValueError):
             check_fraction(0.4, "eps", high=1.0 / 3.0, inclusive_high=True)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: check_fraction(None, "eps"), "eps"),
+        (lambda: repro.FSSPipeline(k=2, epsilon=None), "epsilon"),
+        (lambda: repro.BKLWPipeline(k=2, delta=None), "delta"),
+        (lambda: StreamingEngine([], k=2, epsilon=None), "epsilon"),
+    ], ids=["helper", "FSSPipeline", "BKLWPipeline", "StreamingEngine"])
+    def test_none_names_the_parameter(self, build, name):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            build()
+
+    def test_registry_drops_none_as_the_default(self):
+        assert registry.create_pipeline("fss", k=2, epsilon=None).epsilon == 0.2
 
 
 # Public entry points that take a point set, called as ``fn(points)`` or,
