@@ -11,6 +11,7 @@ SVD and sampling operate on dimension-reduced shards.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bench_helpers import NUM_SOURCES
@@ -19,6 +20,12 @@ from bench_helpers import multi_source_factories, print_cdf, print_table, run_on
 
 def _run(runner, d):
     return runner.run_multi_source(multi_source_factories(d), num_sources=NUM_SOURCES)
+
+
+def _median_source_seconds(result, label):
+    """Median over the Monte-Carlo runs: one scheduler stall in one run of
+    three moves the mean past the speed bound, not the median."""
+    return float(np.median(result.metric_samples(label, "source_seconds")))
 
 
 @pytest.mark.benchmark(group="fig2")
@@ -39,9 +46,8 @@ def test_fig2_mnist(benchmark, mnist_runner, mnist_dataset):
     assert all(s.mean_normalized_cost < 2.0 for s in summary.values())
     # Algorithm 4 must not be slower than BKLW (it runs the same protocol on
     # smaller matrices).
-    assert (
-        summary["JL+BKLW (Alg4)"].mean_source_seconds
-        <= summary["BKLW"].mean_source_seconds * 1.25
+    assert _median_source_seconds(result, "JL+BKLW (Alg4)") <= (
+        _median_source_seconds(result, "BKLW") * 1.25
     )
 
 
@@ -61,7 +67,6 @@ def test_fig2_neurips(benchmark, neurips_runner, neurips_dataset):
                 ["normalized_cost", "normalized_communication", "source_seconds"])
     summary = result.summary()
     assert all(s.mean_normalized_cost < 2.5 for s in summary.values())
-    assert (
-        summary["JL+BKLW (Alg4)"].mean_source_seconds
-        <= summary["BKLW"].mean_source_seconds * 1.25
+    assert _median_source_seconds(result, "JL+BKLW (Alg4)") <= (
+        _median_source_seconds(result, "BKLW") * 1.25
     )

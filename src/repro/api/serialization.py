@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Mapping, Union
 
 from repro.api.specs import ExperimentSpec, SweepSpec
 

@@ -576,7 +576,7 @@ def _pin_derived_dimensions(
         if isinstance(stage, JLStage):
             target = stage.resolve_dimension(shape, ctx)
             if stage.dimension is None:
-                stage = JLStage(target, ensemble=stage.ensemble)
+                stage = JLStage(target)
             shape.dimension = target
         elif stage.reduces_cardinality:
             size = getattr(stage, "size", None)

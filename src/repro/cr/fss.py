@@ -20,7 +20,6 @@ and that JL+FSS avoids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,8 +71,6 @@ class FSSCoreset:
         ``(k, ε, δ)`` via :func:`fss_coreset_size`.
     pca_rank:
         Explicit PCA rank ``t``; if omitted, ``k + ceil(4k/ε²) − 1``.
-    approximate_svd:
-        Use randomized SVD inside the PCA step.
     seed:
         RNG seed or generator.
     """
@@ -85,7 +82,6 @@ class FSSCoreset:
         delta: float = 0.1,
         size: Optional[int] = None,
         pca_rank: Optional[int] = None,
-        approximate_svd: bool = False,
         seed: SeedLike = None,
     ) -> None:
         self.k = check_positive_int(k, "k")
@@ -95,7 +91,6 @@ class FSSCoreset:
         self.pca_rank = (
             pca_rank if pca_rank is None else check_positive_int(pca_rank, "pca_rank")
         )
-        self.approximate_svd = bool(approximate_svd)
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------ API
@@ -122,11 +117,8 @@ class FSSCoreset:
         n, d = points.shape
         rank = self.resolved_rank(n, d)
 
-        pca = PCAProjection(
-            rank=rank,
-            approximate=self.approximate_svd,
-            seed=derive_seed(self._rng),
-        )
+        derive_seed(self._rng)  # unused; the sampler's seed sits after it
+        pca = PCAProjection(rank=rank)
         pca.fit(points)
         projected = pca.project_in_place(points)
         # Δ = ‖A − A V Vᵀ‖²_F, from the projection already in hand: the same

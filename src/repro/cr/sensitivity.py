@@ -76,22 +76,11 @@ class SensitivitySampler:
         paper's experiments.
     seed:
         RNG seed or generator.
-    deterministic_weights:
-        If True (default), rescale weights so the total coreset weight equals
-        the total input weight exactly (footnote 8 / reference [4]); if
-        False, use the classical unbiased ``1/(size * prob)`` weights.
     """
 
-    def __init__(
-        self,
-        k: int,
-        size: int,
-        seed: SeedLike = None,
-        deterministic_weights: bool = True,
-    ) -> None:
+    def __init__(self, k: int, size: int, seed: SeedLike = None) -> None:
         self.k = check_positive_int(k, "k")
         self.size = check_positive_int(size, "size")
-        self.deterministic_weights = bool(deterministic_weights)
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------ API
@@ -162,11 +151,12 @@ class SensitivitySampler:
         probabilities = scores.scores / scores.total
         indices = weighted_indices(self._rng, probabilities, size=size)
 
+        # Inverse-probability weights, rescaled so the total coreset weight
+        # equals the total input weight exactly (footnote 8 / reference [4]).
         sample_weights = weights[indices] / (size * probabilities[indices])
-        if self.deterministic_weights:
-            total_input_weight = float(weights.sum())
-            current = float(sample_weights.sum())
-            if current > 0:
-                sample_weights = sample_weights * (total_input_weight / current)
+        total_input_weight = float(weights.sum())
+        current = float(sample_weights.sum())
+        if current > 0:
+            sample_weights = sample_weights * (total_input_weight / current)
 
         return Coreset(points[indices].copy(), sample_weights, shift=shift)

@@ -18,7 +18,8 @@ from repro.utils.validation import check_matrix, check_positive_int, check_weigh
 
 
 class UniformCoreset:
-    """Coreset by uniform sampling with inverse-probability weights.
+    """Coreset by uniform sampling with replacement and inverse-probability
+    weights.
 
     Parameters
     ----------
@@ -26,13 +27,10 @@ class UniformCoreset:
         Number of points to sample.
     seed:
         RNG seed or generator.
-    replace:
-        Sample with replacement (True, default) or without.
     """
 
-    def __init__(self, size: int, seed: SeedLike = None, replace: bool = True) -> None:
+    def __init__(self, size: int, seed: SeedLike = None) -> None:
         self.size = check_positive_int(size, "size")
-        self.replace = bool(replace)
         self._rng = as_generator(seed)
 
     def build(
@@ -46,11 +44,10 @@ class UniformCoreset:
         points = check_matrix(points, "points")
         n = points.shape[0]
         weights = check_weights(weights, n)
-        size = min(self.size, n) if not self.replace else self.size
 
-        indices = self._rng.choice(n, size=size, replace=self.replace)
+        indices = self._rng.choice(n, size=self.size, replace=True)
         total_weight = float(weights.sum())
-        sample_weights = np.full(size, total_weight / size, dtype=float)
+        sample_weights = np.full(self.size, total_weight / self.size, dtype=float)
         return Coreset(points[indices].copy(), sample_weights, shift=shift)
 
     def __call__(self, points: np.ndarray, weights: Optional[np.ndarray] = None) -> Coreset:

@@ -9,7 +9,7 @@ clustering the full prefix.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.cr.coreset import Coreset
 from repro.distributed.dispca import DisPCAResult, DistributedPCA
 from repro.distributed.disss import DisSSResult, DistributedSensitivitySampler, disss_sample_size

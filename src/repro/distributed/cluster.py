@@ -9,7 +9,7 @@ partition strategy.  The multi-source engine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -46,20 +46,16 @@ class EdgeCluster:
         server_n_init: int = 5,
         condition: ConditionLike = None,
         fault_plan: Optional[FaultPlan] = None,
-        network_seed: Optional[int] = None,
     ) -> "EdgeCluster":
         """Build a cluster from explicit per-source shards.
 
-        ``condition`` / ``fault_plan`` / ``network_seed`` configure the
-        simulated network's unreliable-edge behaviour; the defaults are the
-        ideal loss-free wire.
+        ``condition`` / ``fault_plan`` configure the simulated network's
+        unreliable-edge behaviour; the defaults are the ideal loss-free wire.
         """
         if not shards:
             raise ValueError("at least one shard is required")
         rng = as_generator(seed)
-        network = SimulatedNetwork(
-            condition=condition, fault_plan=fault_plan, seed=network_seed
-        )
+        network = SimulatedNetwork(condition=condition, fault_plan=fault_plan)
         source_rngs = spawn_generators(rng, len(shards) + 1)
         sources = [
             DataSourceNode(f"source-{i}", shard, network, seed=source_rngs[i])
@@ -81,7 +77,6 @@ class EdgeCluster:
         server_n_init: int = 5,
         condition: ConditionLike = None,
         fault_plan: Optional[FaultPlan] = None,
-        network_seed: Optional[int] = None,
     ) -> "EdgeCluster":
         """Partition ``points`` across ``num_sources`` and build the cluster."""
         points = check_matrix(points, "points")
@@ -91,7 +86,7 @@ class EdgeCluster:
         shards = [points[idx] for idx in indices]
         return cls.from_shards(
             shards, k=k, seed=rng, server_n_init=server_n_init,
-            condition=condition, fault_plan=fault_plan, network_seed=network_seed,
+            condition=condition, fault_plan=fault_plan,
         )
 
     # --------------------------------------------------------- participation

@@ -89,10 +89,6 @@ class DistributedSensitivitySampler:
     quantizer:
         Optional rounding quantizer applied to each source's outgoing summary
         (the +QT variants of Section 6).
-    bicriteria_rounds, bicriteria_batch_factor:
-        Size controls of the per-source bicriteria solution ``X_i`` (which is
-        transmitted along with the samples); the defaults keep ``|X_i|`` at a
-        small multiple of ``k``.
     jobs:
         Worker threads for the per-source compute steps (bicriteria and
         sampling); transmissions stay serial.  Every source draws from its
@@ -104,17 +100,11 @@ class DistributedSensitivitySampler:
         k: int,
         total_samples: int,
         quantizer: Optional[RoundingQuantizer] = None,
-        bicriteria_rounds: int = 4,
-        bicriteria_batch_factor: int = 3,
         jobs: Optional[int] = None,
     ) -> None:
         self.k = check_positive_int(k, "k")
         self.total_samples = check_positive_int(total_samples, "total_samples")
         self.quantizer = quantizer
-        self.bicriteria_rounds = check_positive_int(bicriteria_rounds, "bicriteria_rounds")
-        self.bicriteria_batch_factor = check_positive_int(
-            bicriteria_batch_factor, "bicriteria_batch_factor"
-        )
         self.jobs = jobs
 
     def run(self, sources: Sequence[DataSourceNode], server: EdgeServer) -> DisSSResult:
@@ -139,13 +129,7 @@ class DistributedSensitivitySampler:
         # draws from its own generator); costs reported serially in source
         # order so the transmission log is schedule-independent.
         bicriterias = parallel_map(
-            lambda source: source.local_bicriteria(
-                self.k,
-                rounds=self.bicriteria_rounds,
-                batch_factor=self.bicriteria_batch_factor,
-            ),
-            active,
-            self.jobs,
+            lambda source: source.local_bicriteria(self.k), active, self.jobs
         )
         local_costs: List[float] = []
         reporters: List[tuple] = []

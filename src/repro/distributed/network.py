@@ -238,20 +238,14 @@ class SimulatedNetwork:
         Optional scripted node failures (dropout / flaky / stragglers),
         evaluated against :attr:`round` — protocol drivers advance the round
         counter as their phases progress.
-    seed:
-        Override for the condition's loss/jitter seed (the CLI forwards the
-        experiment seed so degraded runs are reproducible end to end).
     """
 
     def __init__(
         self,
         condition: ConditionLike = None,
         fault_plan: Optional[FaultPlan] = None,
-        seed: Optional[int] = None,
     ) -> None:
         self.condition = resolve_condition(condition)
-        if seed is not None:
-            self.condition = self.condition.with_overrides(seed=seed)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.log = TransmissionLog()
         #: Current protocol round, consulted by the fault plan.
@@ -321,8 +315,6 @@ class SimulatedNetwork:
         payload,
         tag: str = "data",
         significant_bits: Optional[int] = None,
-        scalars: Optional[int] = None,
-        retries: Optional[int] = None,
     ):
         """Transmit ``payload`` and record the cost.
 
@@ -337,79 +329,51 @@ class SimulatedNetwork:
         significant_bits:
             If the payload was quantized, the retained significand bits;
             determines ``bits_per_value``.
-        scalars:
-            Override the scalar count (used when the logical payload differs
-            from the python object, e.g. symbolic seed exchange counted as 0).
-        retries:
-            Per-call override of the condition's retransmission budget.
 
         Raises
         ------
         DeliveryError
             When the source-side endpoint is down per the fault plan (or was
-            marked failed), or when every attempt within the retry budget
-            was lost.  Lost attempts are metered; a down endpoint transmits
-            nothing.
+            marked failed), or when every attempt within the condition's
+            retry budget was lost.  Lost attempts are metered; a down
+            endpoint transmits nothing.
         """
-        # The source-side endpoint owns the link (the server sits behind
-        # every link's other end).
-        endpoint = receiver if sender == SERVER_ID else sender
-        if self.node_is_down(endpoint):
-            raise DeliveryError(sender, receiver, tag, f"{endpoint} is down")
-
-        count = _count_scalars(payload) if scalars is None else int(scalars)
-        bits_per_value = bits_per_scalar(significant_bits)
-        link = self._link_for(endpoint)
-        seconds = link.transmission_seconds(
-            count * bits_per_value
-        ) * self.fault_plan.delay_factor(endpoint)
-        budget = self.condition.retries if retries is None else int(retries)
-
-        for attempt in range(budget + 1):
-            lost = link.loss > 0.0 and bool(
-                self._loss_rng(endpoint).random() < link.loss
-            )
-            self.log.record(
-                Message(
-                    sender=sender,
-                    receiver=receiver,
-                    tag=tag,
-                    scalars=count,
-                    bits_per_value=bits_per_value,
-                    delivered=not lost,
-                    attempt=attempt,
-                    simulated_seconds=seconds,
-                )
-            )
-            if not lost:
-                return payload
-        raise DeliveryError(
-            sender, receiver, tag,
-            f"lost after {budget + 1} attempts (loss={link.loss:g})",
-        )
+        self._transmit(sender, receiver, [(tag, payload, significant_bits)])
+        return payload
 
     def send_many(
         self,
         sender: str,
         receiver: str,
         parts: Iterable[Tuple[str, object, Optional[int]]],
-        retries: Optional[int] = None,
     ) -> None:
         """Transmit several payloads over one link in one batched call.
 
         ``parts`` is a sequence of ``(tag, payload, significant_bits)``
         tuples.  The recorded message sequence — counts, precisions, loss
         draws, simulated seconds — is bit-identical to calling :meth:`send`
-        once per part in order; the batching only hoists the per-call
-        endpoint/link/fault-plan resolution out of the loop, which is what
-        keeps per-step transmission affordable at thousands of sources.
+        once per part in order; the batching only resolves the endpoint,
+        link and fault plan once for all parts, which is what keeps
+        per-step transmission affordable at thousands of sources.
 
         Raises :class:`DeliveryError` on the first part that cannot be
         delivered (earlier parts' attempts are already metered); all-or-
         nothing semantics stay with the caller, exactly as with
         sequential sends.
         """
-        parts = list(parts)
+        self._transmit(sender, receiver, list(parts))
+
+    def _transmit(
+        self,
+        sender: str,
+        receiver: str,
+        parts: List[Tuple[str, object, Optional[int]]],
+    ) -> None:
+        """The one transmit loop behind :meth:`send` and :meth:`send_many`:
+        every attempt of every part is metered, each part retries up to the
+        condition's budget."""
+        # The source-side endpoint owns the link (the server sits behind
+        # every link's other end).
         endpoint = receiver if sender == SERVER_ID else sender
         if self.node_is_down(endpoint):
             first_tag = parts[0][0] if parts else "data"
@@ -418,7 +382,7 @@ class SimulatedNetwork:
         link = self._link_for(endpoint)
         delay = self.fault_plan.delay_factor(endpoint)
         loss_rng = self._loss_rng(endpoint) if link.loss > 0.0 else None
-        budget = self.condition.retries if retries is None else int(retries)
+        budget = self.condition.retries
         record = self.log.record
 
         for tag, payload, significant_bits in parts:

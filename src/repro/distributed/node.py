@@ -23,6 +23,11 @@ from repro.utils.linalg import right_svd
 from repro.utils.random import SeedLike, as_generator, weighted_indices
 from repro.utils.validation import check_matrix, check_positive_int
 
+#: Adaptive-sampling rounds of a source's local bicriteria solve (disSS step
+#: 1).  The bicriteria set ``X_i`` is transmitted with the samples, so few
+#: rounds keep ``|X_i|`` a small multiple of ``k``.
+LOCAL_BICRITERIA_ROUNDS = 4
+
 
 class DataSourceNode:
     """One edge device holding a shard of the dataset.
@@ -128,24 +133,14 @@ class DataSourceNode:
         self.points = self._timed(_project)
         return self.points
 
-    def local_bicriteria(
-        self,
-        k: int,
-        rounds: Optional[int] = None,
-        batch_factor: int = 3,
-    ) -> BicriteriaResult:
-        """Bicriteria approximation on the local shard (disSS step 1).
-
-        ``rounds``/``batch_factor`` bound the size of the bicriteria set
-        ``X_i``; since ``X_i`` is transmitted along with the samples, smaller
-        values trade a little sampling quality for less communication.
-        """
+    def local_bicriteria(self, k: int) -> BicriteriaResult:
+        """Bicriteria approximation on the local shard (disSS step 1), in
+        :data:`LOCAL_BICRITERIA_ROUNDS` adaptive rounds."""
         result = self._timed(
             bicriteria_approximation,
             self.points,
             k,
-            rounds=rounds,
-            batch_factor=batch_factor,
+            rounds=LOCAL_BICRITERIA_ROUNDS,
             seed=self.rng,
         )
         self._cached_bicriteria = result

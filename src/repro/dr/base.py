@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 

@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dr.base import DimensionalityReducer
-from repro.utils.linalg import randomized_svd, right_svd
-from repro.utils.random import SeedLike
+from repro.utils.linalg import right_svd
 from repro.utils.validation import check_fraction, check_matrix, check_positive_int
 
 
@@ -40,18 +39,10 @@ class PCAProjection(DimensionalityReducer):
     ----------
     rank:
         Number of principal directions to keep.
-    approximate:
-        Use randomized SVD instead of exact SVD (the "approximate SVD"
-        variant mentioned in Section 2; cheaper for very large matrices).
-    seed:
-        Seed for the randomized SVD sketch (ignored when ``approximate`` is
-        False).
     """
 
-    def __init__(self, rank: int, approximate: bool = False, seed: SeedLike = None) -> None:
+    def __init__(self, rank: int) -> None:
         self._rank = check_positive_int(rank, "rank")
-        self._approximate = bool(approximate)
-        self._seed = seed
         self._basis: Optional[np.ndarray] = None  # (d, rank)
         self._singular_values: Optional[np.ndarray] = None
         self._d: Optional[int] = None
@@ -62,13 +53,9 @@ class PCAProjection(DimensionalityReducer):
         points = check_matrix(points, "points")
         self._d = points.shape[1]
         rank = min(self._rank, min(points.shape))
-        if self._approximate:
-            _, s, vt = randomized_svd(points, rank, seed=self._seed)
-        else:
-            s, vt = right_svd(points)
-            s, vt = s[:rank], vt[:rank]
-        self._basis = vt.T
-        self._singular_values = s
+        s, vt = right_svd(points)
+        self._basis = vt[:rank].T
+        self._singular_values = s[:rank]
         return self
 
     def fit_transform(self, points: np.ndarray) -> np.ndarray:

@@ -94,7 +94,6 @@ def bicriteria_approximation(
     k: int,
     weights: Optional[np.ndarray] = None,
     rounds: Optional[int] = None,
-    batch_factor: int = 3,
     repetitions: int = 3,
     seed: SeedLike = None,
 ) -> BicriteriaResult:
@@ -112,8 +111,7 @@ def bicriteria_approximation(
         Number of adaptive sampling rounds; defaults to
         ``max(1, ceil(log2(max(n, 2))))``.  The default fixes how many
         batches each repetition draws, so it is part of the seeded stream.
-    batch_factor:
-        Points drawn per round = ``batch_factor * k``.
+        Each round draws ``3 k`` points.
     repetitions:
         Independent repetitions; the lowest-cost selection wins (this is the
         ``log(1/δ)`` boosting described in Section 6.3).
@@ -124,7 +122,6 @@ def bicriteria_approximation(
     k = check_positive_int(k, "k")
     n = points.shape[0]
     weights = check_weights(weights, n)
-    check_positive_int(batch_factor, "batch_factor")
     check_positive_int(repetitions, "repetitions")
     rng = as_generator(seed)
 
@@ -146,8 +143,7 @@ def bicriteria_approximation(
     best_cost = np.inf
     for rep_rng in spawn_generators(rng, repetitions):
         centers, cost = _single_adaptive_run(
-            points, point_norms, center_norms, k, weights, rounds,
-            batch_factor, rep_rng,
+            points, point_norms, center_norms, k, weights, rounds, rep_rng,
         )
         if best_centers is None or cost < best_cost:
             best_centers = centers
@@ -172,7 +168,6 @@ def _single_adaptive_run(
     k: int,
     weights: np.ndarray,
     rounds: int,
-    batch_factor: int,
     rng: np.random.Generator,
 ):
     """One adaptive-sampling pass: iteratively add D²-sampled batches.
@@ -183,7 +178,7 @@ def _single_adaptive_run(
     to that round's *newly added* centers only.
     """
     n = points.shape[0]
-    batch = min(batch_factor * k, n)
+    batch = min(3 * k, n)
     selected = np.zeros(n, dtype=bool)
     # Before any center is selected, D² sampling draws by weight alone.
     scores = weights

@@ -15,8 +15,6 @@ this vectorized and exact for IEEE doubles with ``s ≤ 52``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.quantization.bits import (

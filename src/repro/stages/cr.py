@@ -124,16 +124,15 @@ class UniformStage(Stage):
     reduces_cardinality = True
     cacheable = True
 
-    def __init__(self, size: Optional[int] = None, replace: bool = True) -> None:
+    def __init__(self, size: Optional[int] = None) -> None:
         self.size = size
-        self.replace = replace
 
     def fingerprint(self):
-        return ("Uniform", self.size, self.replace)
+        return ("Uniform", self.size)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
         size = _resolve_size(self.size, state.cardinality, ctx.k)
-        sampler = UniformCoreset(size=size, seed=ctx.derive_seed(), replace=self.replace)
+        sampler = UniformCoreset(size=size, seed=ctx.derive_seed())
         coreset = sampler.build(state.points, weights=state.weights, shift=state.shift)
         return StageEffect(
             state=state.evolve(

@@ -107,9 +107,8 @@ class SharedJLStage(DistributedStage):
     name = "JL"
     requires_shared_seed = True
 
-    def __init__(self, dimension: Optional[int] = None, ensemble: str = "gaussian") -> None:
+    def __init__(self, dimension: Optional[int] = None) -> None:
         self.dimension = dimension
-        self.ensemble = ensemble
 
     def resolve_dimension(self, cluster: EdgeCluster, ctx: DistributedStageContext) -> int:
         d = cluster.dimension
@@ -130,7 +129,7 @@ class SharedJLStage(DistributedStage):
         d = cluster.dimension
         target = self.resolve_dimension(cluster, ctx)
         seed = self.shared_seed
-        projection = JLProjection(d, target, seed=seed, ensemble=self.ensemble)
+        projection = JLProjection(d, target, seed=seed)
         # Pure local compute (the projection matrix is pre-shared and every
         # node owns its shard), so the per-source loop parallelises freely.
         # Sources already down skip the projection and are excluded for the
@@ -143,7 +142,7 @@ class SharedJLStage(DistributedStage):
         )
 
         def lift(centers):
-            server_projection = JLProjection(d, target, seed=seed, ensemble=self.ensemble)
+            server_projection = JLProjection(d, target, seed=seed)
             return server_projection.inverse_transform(centers)
 
         return DistributedStageEffect(lift=lift, details={"jl_dimension": float(target)})

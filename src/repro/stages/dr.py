@@ -33,31 +33,27 @@ class JLStage(Stage):
         Explicit target dimension ``d'`` (capped at the input dimension);
         when omitted it is derived from the state via Lemma 4.1 (raw data,
         cardinality ``n``) or Lemma 4.2 (coreset, cardinality ``|S|``).
-    ensemble:
-        Matrix ensemble, ``"gaussian"`` or ``"rademacher"``.
     """
 
     name = "JL"
     requires_shared_seed = True
     cacheable = True
 
-    def __init__(self, dimension: Optional[int] = None, ensemble: str = "gaussian") -> None:
+    def __init__(self, dimension: Optional[int] = None) -> None:
         self.dimension = dimension
-        self.ensemble = ensemble
 
     def fingerprint(self):
-        return ("JL", self.dimension, self.ensemble)
+        return ("JL", self.dimension)
 
     def rebuild_lift(self, input_dimension: int, output_dimension: int):
-        # The lift is a pure function of (d, d', shared seed, ensemble): the
-        # server re-derives the identical map, so a cached application can
-        # rebuild it without ever persisting the projection matrix.
+        # The lift is a pure function of (d, d', shared seed): the server
+        # re-derives the identical map, so a cached application can rebuild
+        # it without ever persisting the projection matrix.
         seed = self.shared_seed
-        ensemble = self.ensemble
 
         def lift(centers):
             server_projection = JLProjection(
-                input_dimension, output_dimension, seed=seed, ensemble=ensemble
+                input_dimension, output_dimension, seed=seed
             )
             return server_projection.inverse_transform(centers)
 
@@ -73,7 +69,7 @@ class JLStage(Stage):
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
         d = state.dimension
         target = self.resolve_dimension(state, ctx)
-        projection = JLProjection(d, target, seed=self.shared_seed, ensemble=self.ensemble)
+        projection = JLProjection(d, target, seed=self.shared_seed)
         projected = projection.transform(state.points)
         return StageEffect(
             # The projection moves the points out of any recorded subspace.
@@ -96,12 +92,11 @@ class PCAStage(Stage):
     name = "PCA"
     cacheable = True
 
-    def __init__(self, rank: Optional[int] = None, approximate: bool = False) -> None:
+    def __init__(self, rank: Optional[int] = None) -> None:
         self.rank = rank
-        self.approximate = approximate
 
     def fingerprint(self):
-        return ("PCA", self.rank, self.approximate)
+        return ("PCA", self.rank)
 
     def resolve_rank(self, state: SourceState, ctx: StageContext) -> int:
         n, d = state.cardinality, state.dimension
@@ -111,7 +106,8 @@ class PCAStage(Stage):
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
         rank = self.resolve_rank(state, ctx)
-        pca = PCAProjection(rank=rank, approximate=self.approximate, seed=ctx.derive_seed())
+        ctx.derive_seed()  # unused; every later seed sits on this draw
+        pca = PCAProjection(rank=rank)
         pca.fit(state.points)
         projected = pca.project_in_place(state.points)
         tail_energy = pca.residual_energy(state.points)

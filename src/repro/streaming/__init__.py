@@ -12,7 +12,7 @@ that schedules batches and produces reports is
 :class:`~repro.core.streaming.StreamingEngine`.
 """
 
-from repro.streaming.tree import Bucket, CoresetTree, TreeDelta
+from repro.streaming.tree import Bucket, CoresetTree
 from repro.streaming.source import BucketUpdate, SourceUpdate, StreamingSource
 from repro.streaming.server import (
     EmptySummaryError,
@@ -26,7 +26,6 @@ from repro.streaming.server import (
 __all__ = [
     "Bucket",
     "CoresetTree",
-    "TreeDelta",
     "BucketUpdate",
     "SourceUpdate",
     "StreamingSource",

@@ -26,7 +26,7 @@ every bucket fully expires at most ``W`` steps after its newest batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.cr.coreset import Coreset, merge_coresets
@@ -64,14 +64,6 @@ class Bucket:
     def span(self) -> int:
         """Number of batches covered (inclusive range width)."""
         return self.last_batch - self.first_batch + 1
-
-
-@dataclass
-class TreeDelta:
-    """Net change of one tree operation: buckets created and ids dropped."""
-
-    added: List[Bucket] = field(default_factory=list)
-    removed_ids: List[int] = field(default_factory=list)
 
 
 class CoresetTree:
@@ -127,15 +119,12 @@ class CoresetTree:
         return merge_coresets(b.coreset for b in self.live_buckets)
 
     # ------------------------------------------------------------------ API
-    def insert(self, coreset: Coreset, batch_index: int) -> TreeDelta:
+    def insert(self, coreset: Coreset, batch_index: int) -> None:
         """Add one batch coreset at ``batch_index`` and cascade merges.
 
-        Returns the *net* delta (buckets alive now that were not alive
-        before, ids alive before that are gone) — intermediate buckets
-        created and consumed within one cascade never appear, which is what
-        makes the delta directly transmittable as an incremental summary.
+        A source learns what to transmit by comparing
+        :attr:`live_bucket_ids` with the ids it already shipped.
         """
-        before = set(self._buckets)
         leaf = Bucket(
             bucket_id=self._allocate_id(),
             level=0,
@@ -146,20 +135,16 @@ class CoresetTree:
         self._buckets[leaf.bucket_id] = leaf
         self._cascade(leaf.level)
         self._track_peaks()
-        return self._delta_since(before)
 
-    def expire(self, current_batch: int) -> List[int]:
-        """Drop buckets whose whole range left the window; return their ids.
-
-        No-op (empty list) when the tree is unwindowed.
-        """
+    def expire(self, current_batch: int) -> None:
+        """Drop buckets whose whole range left the window (no-op when the
+        tree is unwindowed)."""
         if self.window is None:
-            return []
+            return
         cutoff = int(current_batch) - self.window
         expired = [bid for bid, b in self._buckets.items() if b.last_batch <= cutoff]
         for bid in expired:
             del self._buckets[bid]
-        return sorted(expired)
 
     # ------------------------------------------------------------ internals
     def _allocate_id(self) -> int:
@@ -201,13 +186,6 @@ class CoresetTree:
             self._buckets[parent.bucket_id] = parent
             self.merges += 1
             level += 1
-
-    def _delta_since(self, before: set) -> TreeDelta:
-        after = set(self._buckets)
-        return TreeDelta(
-            added=[self._buckets[bid] for bid in sorted(after - before)],
-            removed_ids=sorted(before - after),
-        )
 
     def _track_peaks(self) -> None:
         self.max_live_buckets = max(self.max_live_buckets, len(self._buckets))

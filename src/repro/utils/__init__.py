@@ -3,7 +3,6 @@
 from repro.utils.random import as_generator, spawn_generators
 from repro.utils.linalg import (
     moore_penrose_inverse,
-    randomized_svd,
     right_svd,
     safe_svd,
     squared_norms,
@@ -20,7 +19,6 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "moore_penrose_inverse",
-    "randomized_svd",
     "right_svd",
     "safe_svd",
     "squared_norms",

@@ -12,8 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.random import SeedLike, as_generator
-
 
 def as_float_array(points: np.ndarray) -> np.ndarray:
     """Return ``points`` as a float array, preserving ``float32``/``float64``.
@@ -148,70 +146,7 @@ def right_svd(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return s, vt
 
 
-def randomized_svd(
-    matrix: np.ndarray,
-    rank: int,
-    oversample: int = 10,
-    power_iterations: int = 2,
-    seed: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Randomized truncated SVD (Halko–Martinsson–Tropp sketch-and-solve).
-
-    Used by the approximate-PCA path of FSS when the exact SVD would be the
-    complexity bottleneck.  Returns ``(U, s, Vt)`` with ``rank`` components.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n, d = matrix.shape
-    rank = int(rank)
-    if rank <= 0:
-        raise ValueError(f"rank must be positive, got {rank}")
-    target = min(rank + oversample, min(n, d))
-    rng = as_generator(seed)
-
-    sketch = rng.standard_normal((d, target))
-    sample = matrix @ sketch
-    for _ in range(power_iterations):
-        sample = matrix @ (matrix.T @ sample)
-    q, _ = np.linalg.qr(sample)
-    small = q.T @ matrix
-    u_small, s, vt = safe_svd(small, full_matrices=False)
-    u = q @ u_small
-    keep = min(rank, s.shape[0])
-    return u[:, :keep], s[:keep], vt[:keep, :]
-
-
 def moore_penrose_inverse(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """Moore–Penrose pseudo-inverse, used to lift centers back through a
     (non-invertible) linear DR map as described in Section 3.1 of the paper."""
     return np.linalg.pinv(np.asarray(matrix, dtype=float), rcond=rcond)
-
-
-def project_onto_top_singular_subspace(
-    matrix: np.ndarray, rank: int, seed: SeedLike = None, approximate: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Project rows of ``matrix`` onto the span of its top ``rank`` right
-    singular vectors.
-
-    Returns ``(projected, basis)`` where ``basis`` has shape ``(d, rank)`` and
-    ``projected = matrix @ basis @ basis.T`` (still expressed in the original
-    d-dimensional coordinates, as FSS requires).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    rank = int(min(rank, min(matrix.shape)))
-    if approximate:
-        _, _, vt = randomized_svd(matrix, rank, seed=seed)
-    else:
-        vt = right_svd(matrix)[1][:rank]
-    basis = vt.T
-    projected = matrix @ basis @ basis.T
-    return projected, basis
-
-
-def frobenius_tail_energy(matrix: np.ndarray, rank: int) -> float:
-    """Sum of squared singular values beyond ``rank`` — the constant Δ that
-    FSS adds to the coreset cost (Definition 3.2)."""
-    s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if rank >= s.shape[0]:
-        return 0.0
-    tail = s[rank:]
-    return float(np.sum(tail**2))

@@ -71,11 +71,6 @@ class TestFSSCoreset:
         # t = k + ceil(4k/eps^2) - 1 = 2 + 32 - 1 = 33, capped by data shape
         assert fss.resolved_rank(1000, 1000) == 33
 
-    def test_approximate_svd_variant_runs(self, high_dim_points):
-        fss = FSSCoreset(k=3, size=40, pca_rank=6, approximate_svd=True, seed=5)
-        coreset = fss(high_dim_points)
-        assert coreset.size == 40
-
     def test_reproducible_given_seed(self, high_dim_points):
         a = FSSCoreset(k=2, size=30, pca_rank=5, seed=11)(high_dim_points)
         b = FSSCoreset(k=2, size=30, pca_rank=5, seed=11)(high_dim_points)

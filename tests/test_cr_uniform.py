@@ -15,10 +15,15 @@ class TestUniformCoreset:
         assert coreset.total_weight == pytest.approx(blob_points.shape[0])
         assert np.allclose(coreset.weights, coreset.weights[0])
 
-    def test_without_replacement_caps_at_n(self):
+    def test_size_above_n_samples_with_replacement(self):
         points = np.random.default_rng(0).standard_normal((30, 4))
-        coreset = UniformCoreset(size=100, seed=1, replace=False).build(points)
-        assert coreset.size == 30
+        coreset = UniformCoreset(size=100, seed=1).build(points)
+        assert coreset.size == 100
+        # Every sample is an input row, so at most 30 distinct rows appear.
+        rows = {tuple(row) for row in coreset.points}
+        assert rows <= {tuple(row) for row in points}
+        assert len(rows) <= 30
+        assert coreset.total_weight == pytest.approx(30.0)
 
     def test_shift_carried(self, blob_points):
         coreset = UniformCoreset(size=10, seed=2).build(blob_points, shift=4.0)

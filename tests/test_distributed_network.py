@@ -91,10 +91,36 @@ class TestSimulatedNetwork:
         net.send("source-0", "server", np.zeros(10), tag="q", significant_bits=8)
         assert net.uplink_bits() == 10 * (1 + 11 + 8)
 
-    def test_scalar_override(self):
+    def test_send_many_matches_sequential_sends(self):
+        # Same messages, loss draws and simulated seconds as one send per part.
+        parts = [
+            ("coreset", np.zeros((6, 3)), None),
+            ("weights", np.zeros(6), 8),
+            ("shift", 1.0, None),
+        ]
+        batched = SimulatedNetwork("lossy")
+        batched.send_many("source-0", "server", parts)
+        sequential = SimulatedNetwork("lossy")
+        for tag, payload, significant_bits in parts:
+            sequential.send(
+                "source-0", "server", payload, tag=tag,
+                significant_bits=significant_bits,
+            )
+        assert batched.log.messages == sequential.log.messages
+
+    def test_send_and_send_many_do_not_call_each_other(self, monkeypatch):
+        # Hooks that count calls of either method must see each call once.
         net = SimulatedNetwork()
-        net.send("source-0", "server", np.zeros((100, 100)), tag="seed", scalars=0)
-        assert net.uplink_scalars() == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("public send methods must not nest")
+
+        monkeypatch.setattr(net, "send_many", forbidden)
+        net.send("source-0", "server", np.zeros(3), tag="a")
+        monkeypatch.undo()
+        monkeypatch.setattr(net, "send", forbidden)
+        net.send_many("source-0", "server", [("b", np.zeros(2), None)])
+        assert net.uplink_scalars() == 5
 
     def test_downlink_not_counted_in_uplink(self):
         net = SimulatedNetwork()

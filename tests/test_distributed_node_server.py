@@ -5,9 +5,10 @@ import pytest
 
 from repro.cr.coreset import Coreset
 from repro.distributed.network import SimulatedNetwork
-from repro.distributed.node import DataSourceNode
+from repro.distributed.node import LOCAL_BICRITERIA_ROUNDS, DataSourceNode
 from repro.distributed.server import EdgeServer
 from repro.dr.jl import JLProjection
+from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.quantization.rounding import RoundingQuantizer
 
 
@@ -58,6 +59,16 @@ class TestDataSourceNode:
         result = node.local_bicriteria(3)
         assert result.centers.shape[1] == node.dimension
         assert result.cost >= 0.0
+
+    def test_local_bicriteria_runs_four_rounds(self, node_and_network, high_dim_points):
+        # disSS's local step is bicriteria_approximation with 4 rounds drawn
+        # from the node's own generator.
+        node, _ = node_and_network
+        result = node.local_bicriteria(3)
+        assert result.rounds == LOCAL_BICRITERIA_ROUNDS == 4
+        reference = bicriteria_approximation(high_dim_points, 3, rounds=4, seed=0)
+        assert np.array_equal(result.centers, reference.centers)
+        assert result.cost == reference.cost
 
     def test_local_sensitivity_sample_weights_sum_to_cardinality(self, node_and_network):
         node, _ = node_and_network

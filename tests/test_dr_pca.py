@@ -64,14 +64,19 @@ class TestPCAProjection:
         pca = PCAProjection(rank=6).fit(high_dim_points)
         assert pca.transmitted_scalars == high_dim_points.shape[1] * 6
 
-    def test_approximate_close_to_exact_on_low_rank_data(self):
-        rng = np.random.default_rng(3)
-        low_rank = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 80))
-        exact = PCAProjection(rank=5).fit(low_rank)
-        approx = PCAProjection(rank=5, approximate=True, seed=0).fit(low_rank)
-        exact_resid = exact.residual_energy(low_rank)
-        approx_resid = approx.residual_energy(low_rank)
-        assert approx_resid <= exact_resid + 1e-6 * np.linalg.norm(low_rank) ** 2
+    def test_residual_energy_is_singular_value_tail(self):
+        # Eckart–Young: the energy the rank-t projection discards is the sum
+        # of the squared singular values beyond t.
+        m = np.random.default_rng(9).standard_normal((25, 12))
+        tail = np.sum(np.linalg.svd(m, compute_uv=False)[5:] ** 2)
+        residual = PCAProjection(rank=5).fit(m).residual_energy(m)
+        assert np.isclose(residual, tail, rtol=1e-8)
+
+    def test_residual_energy_zero_beyond_rank(self):
+        # A rank at or past the data's own rank discards nothing.
+        m = np.eye(4)
+        assert PCAProjection(rank=4).fit(m).residual_energy(m) == pytest.approx(0.0, abs=1e-12)
+        assert PCAProjection(rank=10).fit(m).residual_energy(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_transform_roundtrip_on_subspace(self, high_dim_points):
         pca = PCAProjection(rank=6).fit(high_dim_points)

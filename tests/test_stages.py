@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import StagePipeline, encode_for_wire
+from repro.cr.fss import FSSCoreset
 from repro.stages import (
     FSSStage,
     JLStage,
@@ -15,7 +16,7 @@ from repro.stages import (
     UniformStage,
 )
 from repro.quantization.rounding import RoundingQuantizer
-from repro.utils.random import as_generator
+from repro.utils.random import as_generator, derive_seed
 
 
 @pytest.fixture()
@@ -116,6 +117,47 @@ class TestQuantizeStage:
         quantizer = RoundingQuantizer(12)
         effect = QuantizeStage(quantizer).apply_at_source(raw_state, ctx)
         assert effect.state.wire_quantizer is quantizer
+
+
+def _advanced_by_draws(seed, draws):
+    """A fresh generator of ``seed`` after ``draws`` seed derivations."""
+    reference = as_generator(seed)
+    for _ in range(draws):
+        derive_seed(reference)
+    return reference
+
+
+class TestSeedDraws:
+    """Each stage's draws from the master generator, in ``handshake`` plus
+    ``apply_at_source``.  Every later seed (later stages, the server solver,
+    the stage cache's draw replay) sits on these positions, so a stage that
+    stops using a seed it draws must keep the draw."""
+
+    @pytest.mark.parametrize(
+        "make, draws",
+        [
+            (lambda: JLStage(10), 1),
+            (lambda: PCAStage(5), 1),
+            (lambda: FSSStage(size=40, pca_rank=6), 1),
+            (lambda: SensitivityStage(40), 1),
+            (lambda: UniformStage(40), 1),
+            (lambda: QuantizeStage(8), 0),
+        ],
+        ids=["JL", "PCA", "FSS", "SS", "Uniform", "QT"],
+    )
+    def test_master_generator_draws(self, make, draws, raw_state):
+        ctx = StageContext(k=3, epsilon=0.2, delta=0.1, rng=as_generator(7))
+        stage = make()
+        stage.handshake(ctx)
+        stage.apply_at_source(raw_state, ctx)
+        expected = _advanced_by_draws(7, draws)
+        assert ctx.rng.bit_generator.state == expected.bit_generator.state
+
+    def test_fss_build_draws_two_seeds_of_its_generator(self, high_dim_points):
+        rng = as_generator(11)
+        FSSCoreset(k=3, size=40, pca_rank=6, seed=rng).build(high_dim_points)
+        expected = _advanced_by_draws(11, 2)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestWireEncoding:

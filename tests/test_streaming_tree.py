@@ -52,21 +52,25 @@ class TestUnwindowedTree:
         assert merged.total_weight == pytest.approx(13 * 8)
 
     def test_delta_is_net_change(self):
+        # A source ships the net change between two inserts by comparing
+        # live_bucket_ids with the ids it already sent.
         tree = CoresetTree(reduce=halving_reduce)
-        first = tree.insert(make_leaf(0), 0)
-        assert [b.level for b in first.added] == [0]
-        assert first.removed_ids == []
-        second = tree.insert(make_leaf(1), 1)
+        tree.insert(make_leaf(0), 0)
+        assert [b.level for b in tree.live_buckets] == [0]
+        shipped = set(tree.live_bucket_ids)
+        tree.insert(make_leaf(1), 1)
         # The two leaves merged: one level-1 bucket appears, the first leaf's
-        # id is retired, and the second leaf never surfaces in the delta.
-        assert [b.level for b in second.added] == [1]
-        assert second.removed_ids == [first.added[0].bucket_id]
+        # id is retired, and the second leaf never surfaces as live.
+        added = [b for b in tree.live_buckets if b.bucket_id not in shipped]
+        assert [b.level for b in added] == [1]
+        assert tree.live_bucket_ids == [added[0].bucket_id]
 
     def test_expire_is_noop_without_window(self):
         tree = CoresetTree(reduce=halving_reduce)
         tree.insert(make_leaf(0), 0)
-        assert tree.expire(1000) == []
-        assert tree.live_bucket_count == 1
+        before = tree.live_bucket_ids
+        tree.expire(1000)
+        assert tree.live_bucket_ids == before == [0]
 
     def test_empty_tree_has_no_summary(self):
         tree = CoresetTree(reduce=halving_reduce)

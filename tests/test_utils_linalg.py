@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.utils.linalg import (
-    frobenius_tail_energy,
     moore_penrose_inverse,
     pairwise_squared_distances,
-    project_onto_top_singular_subspace,
-    randomized_svd,
     safe_svd,
     squared_norms,
 )
@@ -61,31 +58,6 @@ class TestSafeSvd:
         assert np.all(np.diff(s) <= 1e-12)
 
 
-class TestRandomizedSvd:
-    def test_captures_dominant_directions(self):
-        rng = np.random.default_rng(4)
-        # Rank-2 matrix plus tiny noise.
-        base = np.outer(rng.standard_normal(50), rng.standard_normal(30))
-        base += np.outer(rng.standard_normal(50), rng.standard_normal(30))
-        noisy = base + 1e-8 * rng.standard_normal((50, 30))
-        u, s, vt = randomized_svd(noisy, rank=2, seed=0)
-        approx = u @ np.diag(s) @ vt
-        rel_err = np.linalg.norm(noisy - approx) / np.linalg.norm(noisy)
-        assert rel_err < 1e-4
-
-    def test_shapes(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((20, 12))
-        u, s, vt = randomized_svd(m, rank=3, seed=1)
-        assert u.shape == (20, 3)
-        assert s.shape == (3,)
-        assert vt.shape == (3, 12)
-
-    def test_invalid_rank_raises(self):
-        with pytest.raises(ValueError):
-            randomized_svd(np.eye(3), rank=0)
-
-
 class TestMoorePenroseInverse:
     def test_pseudoinverse_property(self):
         rng = np.random.default_rng(6)
@@ -96,30 +68,3 @@ class TestMoorePenroseInverse:
     def test_square_invertible_matches_inverse(self):
         m = np.array([[2.0, 0.0], [0.0, 4.0]])
         assert np.allclose(moore_penrose_inverse(m), np.linalg.inv(m))
-
-
-class TestProjectionHelpers:
-    def test_projection_is_idempotent(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((30, 10))
-        projected, basis = project_onto_top_singular_subspace(m, rank=4)
-        reprojected = projected @ basis @ basis.T
-        assert np.allclose(projected, reprojected, atol=1e-10)
-
-    def test_basis_orthonormal(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((30, 10))
-        _, basis = project_onto_top_singular_subspace(m, rank=4)
-        assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-10)
-
-    def test_tail_energy_matches_residual(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((25, 12))
-        projected, _ = project_onto_top_singular_subspace(m, rank=5)
-        residual = np.linalg.norm(m - projected) ** 2
-        assert np.isclose(frobenius_tail_energy(m, 5), residual, rtol=1e-8)
-
-    def test_tail_energy_zero_beyond_rank(self):
-        m = np.eye(4)
-        assert frobenius_tail_energy(m, 4) == 0.0
-        assert frobenius_tail_energy(m, 10) == 0.0
