@@ -69,7 +69,6 @@ from repro.kmeans import WeightedKMeans, kmeans_cost, weighted_kmeans_cost
 from repro.distributed import (
     EdgeCluster,
     SimulatedNetwork,
-    BKLWCoreset,
     NetworkCondition,
     LinkModel,
     FaultPlan,
@@ -157,7 +156,6 @@ __all__ = [
     "weighted_kmeans_cost",
     "EdgeCluster",
     "SimulatedNetwork",
-    "BKLWCoreset",
     "NetworkCondition",
     "LinkModel",
     "FaultPlan",

@@ -487,12 +487,13 @@ class DistributedStagePipeline:
             )
 
         # ---------------------------------------------------------- server
-        server_start = perf_counter()
-        result = cluster.server.solve_kmeans(coreset)
-        centers = result.centers
+        # The server's own clock already holds the solve (and the stages'
+        # server-side steps); only the lift is timed here.
+        centers = cluster.server.solve_kmeans(coreset).centers
+        lift_start = perf_counter()
         for lift in reversed(lifts):
             centers = lift(centers)
-        server_seconds = perf_counter() - server_start
+        server_seconds = perf_counter() - lift_start + cluster.server.compute_seconds
 
         failed = len(cluster.failed_source_ids)
         report = PipelineReport(
@@ -501,7 +502,7 @@ class DistributedStagePipeline:
             communication_scalars=cluster.network.uplink_scalars(),
             communication_bits=cluster.network.uplink_bits(),
             source_seconds=cluster.max_source_compute_seconds(),
-            server_seconds=server_seconds + cluster.server.compute_seconds,
+            server_seconds=server_seconds,
             summary_cardinality=coreset.size,
             summary_dimension=cluster.dimension,
             quantizer_bits=self.quantizer_bits,

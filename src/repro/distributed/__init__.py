@@ -7,9 +7,11 @@ This package is the substrate for the multi-source setting of Section 5:
   connected to one edge server, where every transmission is an explicit
   :class:`Message` and every scalar/bit is metered.
 * :func:`partition_dataset` — ways of splitting a dataset across sources.
-* :class:`DistributedPCA` (disPCA), :class:`DistributedSensitivitySampler`
-  (disSS), and :class:`BKLWCoreset` (disPCA + disSS) — the distributed
-  baseline algorithms from references [35], [4], and [27].
+* :func:`run_dispca` (disPCA, reference [35]) and :func:`run_disss` (disSS,
+  reference [4]) — the two protocol steps of BKLW [27], which
+  :class:`~repro.stages.distributed.BKLWStage` runs one after the other.
+  Every one-shot round goes through :func:`deliver_round`, the one place
+  its fault policy lives.
 * :class:`NetworkCondition`, :class:`LinkModel`, :class:`FaultPlan`,
   :data:`NETWORK_PRESETS` — unreliable-edge simulation: lossy and
   heterogeneous links, scripted dropout/flaky/straggler faults, and
@@ -24,19 +26,24 @@ from repro.distributed.conditions import (
     NetworkCondition,
     resolve_condition,
 )
-from repro.distributed.network import Message, SimulatedNetwork, TransmissionLog
+from repro.distributed.network import (
+    Message,
+    SimulatedNetwork,
+    TransmissionLog,
+    deliver_round,
+)
 from repro.distributed.node import DataSourceNode
 from repro.distributed.server import EdgeServer
 from repro.distributed.cluster import EdgeCluster
 from repro.distributed.partition import partition_dataset
-from repro.distributed.dispca import DistributedPCA, DisPCAResult
-from repro.distributed.disss import DistributedSensitivitySampler, DisSSResult
-from repro.distributed.bklw import BKLWCoreset, BKLWResult
+from repro.distributed.dispca import DisPCAResult, run_dispca
+from repro.distributed.disss import DisSSResult, run_disss
 
 __all__ = [
     "Message",
     "SimulatedNetwork",
     "TransmissionLog",
+    "deliver_round",
     "NetworkCondition",
     "LinkModel",
     "FaultPlan",
@@ -47,10 +54,8 @@ __all__ = [
     "EdgeServer",
     "EdgeCluster",
     "partition_dataset",
-    "DistributedPCA",
+    "run_dispca",
     "DisPCAResult",
-    "DistributedSensitivitySampler",
+    "run_disss",
     "DisSSResult",
-    "BKLWCoreset",
-    "BKLWResult",
 ]

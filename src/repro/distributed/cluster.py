@@ -1,8 +1,8 @@
 """EdgeCluster — convenience wiring of sources, server, and network.
 
 Builds the whole simulated deployment (one :class:`SimulatedNetwork`, ``m``
-:class:`DataSourceNode` shards, one :class:`EdgeServer`) from a dataset and a
-partition strategy.  The multi-source engine
+:class:`DataSourceNode` shards, one :class:`EdgeServer`) from per-source
+shards.  The multi-source engine
 (:class:`~repro.core.engine.DistributedStagePipeline`) operates on an
 ``EdgeCluster``.
 """
@@ -17,20 +17,14 @@ import numpy as np
 from repro.distributed.conditions import ConditionLike, FaultPlan
 from repro.distributed.network import SimulatedNetwork
 from repro.distributed.node import DataSourceNode
-from repro.distributed.partition import partition_dataset
 from repro.distributed.server import EdgeServer
 from repro.utils.random import SeedLike, as_generator, spawn_generators
-from repro.utils.validation import check_matrix, check_positive_int
 
 
 @dataclass
 class EdgeCluster:
-    """A simulated edge deployment: ``m`` data sources and one edge server.
-
-    Use :meth:`from_dataset` to build one from a monolithic dataset, or pass
-    pre-partitioned shards to :meth:`from_shards` (e.g. when emulating data
-    collected independently at each device).
-    """
+    """A simulated edge deployment: ``m`` data sources and one edge server,
+    built from per-source shards by :meth:`from_shards`."""
 
     network: SimulatedNetwork
     sources: List[DataSourceNode]
@@ -66,29 +60,6 @@ class EdgeCluster:
         )
         return cls(network=network, sources=sources, server=server)
 
-    @classmethod
-    def from_dataset(
-        cls,
-        points: np.ndarray,
-        num_sources: int,
-        k: int,
-        strategy: str = "random",
-        seed: SeedLike = None,
-        server_n_init: int = 5,
-        condition: ConditionLike = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> "EdgeCluster":
-        """Partition ``points`` across ``num_sources`` and build the cluster."""
-        points = check_matrix(points, "points")
-        check_positive_int(num_sources, "num_sources")
-        rng = as_generator(seed)
-        indices = partition_dataset(points, num_sources, strategy=strategy, seed=rng)
-        shards = [points[idx] for idx in indices]
-        return cls.from_shards(
-            shards, k=k, seed=rng, server_n_init=server_n_init,
-            condition=condition, fault_plan=fault_plan,
-        )
-
     # --------------------------------------------------------- participation
     @property
     def failed_source_ids(self) -> List[str]:
@@ -109,11 +80,6 @@ class EdgeCluster:
     @property
     def dimension(self) -> int:
         return self.sources[0].dimension
-
-    def union_points(self) -> np.ndarray:
-        """The union ∪ P_i of the current local shards (evaluation only —
-        algorithms never call this)."""
-        return np.vstack([s.points for s in self.sources])
 
     def total_source_compute_seconds(self) -> float:
         """Total local computation time across all data sources."""

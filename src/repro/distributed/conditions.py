@@ -158,10 +158,6 @@ class FaultPlan:
     def delay_factor(self, node_id: str) -> float:
         return float(self.stragglers.get(node_id, 1.0))
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.dropout or self.flaky or self.stragglers)
-
 
 @dataclass(frozen=True)
 class NetworkCondition:

@@ -21,16 +21,14 @@ k-means cost of the original union up to ``1 ± ε`` plus a constant shift Δ
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.distributed.conditions import DeliveryError
+from repro.distributed.network import deliver_round
 from repro.distributed.node import DataSourceNode
 from repro.distributed.server import EdgeServer
-from repro.dr.pca import pca_target_dimension
 from repro.utils.parallel import parallel_map
-from repro.utils.validation import check_fraction, check_positive_int
 
 
 @dataclass
@@ -52,95 +50,68 @@ class DisPCAResult:
     transmitted_scalars: int
 
 
-class DistributedPCA:
-    """disPCA protocol driver.
+def run_dispca(
+    sources: Sequence[DataSourceNode],
+    server: EdgeServer,
+    rank: int,
+    jobs: Optional[int],
+) -> DisPCAResult:
+    """Execute disPCA with ``t1 = t2 = rank``; each source's local shard is
+    replaced by its projection onto the global principal subspace.
 
-    Parameters
-    ----------
-    k:
-        Number of clusters the downstream k-means targets.
-    epsilon:
-        PCA accuracy parameter ε in Theorem 5.1.
-    rank:
-        Explicit ``t1 = t2`` override; default ``k + ⌈4k/ε²⌉ − 1``.
+    The rank is clamped to the shards' current dimension (after a JL step,
+    the projected one) and to the smallest participating shard.  ``jobs``
+    threads run the per-source compute; transmissions stay serial, in
+    source order.
+
+    Fault tolerance: sources that are down (per the network's fault plan) or
+    exhaust their retry budget are excluded from the round — the global SVD
+    stacks only the sketches that arrived, and sources that miss the basis
+    broadcast are marked failed (their shards would be geometrically
+    inconsistent with the projected survivors).  At least one source must
+    complete each phase.
     """
+    network = server.network
+    active = network.participating(sources)
+    if not active:
+        raise RuntimeError("disPCA: every data source is down")
+    rank = max(1, min(rank, active[0].dimension, min(s.cardinality for s in active)))
 
-    def __init__(
-        self,
-        k: int,
-        epsilon: float = 1.0 / 3.0,
-        rank: int | None = None,
-        jobs: int | None = None,
-    ) -> None:
-        self.k = check_positive_int(k, "k")
-        self.epsilon = check_fraction(epsilon, "epsilon", high=1.0 / 3.0, inclusive_high=True)
-        self.rank = rank if rank is None else check_positive_int(rank, "rank")
-        self.jobs = jobs
+    before = network.uplink_scalars()
 
-    def resolved_rank(self, d: int, n: int) -> int:
-        rank = self.rank or pca_target_dimension(self.k, self.epsilon)
-        return max(1, min(rank, d, n))
+    # Step 1: local SVDs (parallel per-source compute), transmitted as
+    # (Σ_t, V_t).
+    local_svds = parallel_map(lambda source: source.local_svd(rank), active, jobs)
+    sketched = deliver_round(
+        network,
+        zip(active, local_svds),
+        lambda source, svd: source.send_to_server(
+            {"singular_values": svd[0], "basis": svd[1]}, tag="dispca-local-svd"
+        ),
+        "disPCA: no local SVD sketch reached the server",
+    )
 
-    def run(self, sources: Sequence[DataSourceNode], server: EdgeServer) -> DisPCAResult:
-        """Execute the protocol; each source's local shard is replaced by its
-        projection onto the global principal subspace.
+    # Step 2: global SVD of the stacked sketches Σ_t V_t^T (survivors only).
+    stacked = np.vstack([values[:, None] * basis.T for _, (values, basis) in sketched])
+    global_basis = server.global_svd(stacked, rank)
 
-        Fault tolerance: sources that are down (per the network's fault
-        plan) or exhaust their retry budget are excluded from the round —
-        the global SVD stacks only the sketches that arrived, and sources
-        that miss the basis broadcast are marked failed (their shards would
-        be geometrically inconsistent with the projected survivors).  At
-        least one source must complete each phase.
-        """
-        if not sources:
-            raise ValueError("disPCA requires at least one data source")
-        network = server.network
-        active = network.participating(sources)
-        if not active:
-            raise RuntimeError("disPCA: every data source is down")
-        d = active[0].dimension
-        min_local_n = min(s.cardinality for s in active)
-        rank = self.resolved_rank(d, min_local_n)
+    # Step 3: broadcast the basis (downlink; not counted in the paper's
+    # source-side communication metric but still logged) and project the
+    # local shards (parallel: node-local compute).
+    survivors = network.participating([source for source, _ in sketched])
+    received = deliver_round(
+        network,
+        [(source, global_basis) for source in survivors],
+        lambda source, basis: server.send_to_source(
+            source.node_id, basis, tag="dispca-basis"
+        ),
+        "disPCA: no source received the global basis",
+    )
+    parallel_map(
+        lambda source: source.project_onto(global_basis),
+        [source for source, _ in received],
+        jobs,
+    )
 
-        before = network.uplink_scalars()
-
-        # Step 1: local SVDs (parallel per-source compute), then transmit to
-        # the server serially in source order so metering is deterministic.
-        local_svds = parallel_map(lambda source: source.local_svd(rank), active, self.jobs)
-        sketches: List[np.ndarray] = []
-        survivors: List[DataSourceNode] = []
-        for source, (singular_values, basis) in zip(active, local_svds):
-            payload = {"singular_values": singular_values, "basis": basis}
-            try:
-                source.send_to_server(payload, tag="dispca-local-svd")
-            except DeliveryError:
-                network.mark_failed(source.node_id)
-                continue
-            sketches.append((singular_values[:, None] * basis.T))  # Σ_t V_t^T
-            survivors.append(source)
-        network.advance_round()
-        if not sketches:
-            raise RuntimeError("disPCA: no local SVD sketch reached the server")
-
-        # Step 2: global SVD of the stacked sketches (survivors only).
-        stacked = np.vstack(sketches)
-        global_basis = server.global_svd(stacked, rank)
-
-        # Step 3: broadcast the basis (downlink; not counted in the paper's
-        # source-side communication metric but still logged, hence serial)
-        # and project the local shards (parallel: node-local compute).
-        receivers: List[DataSourceNode] = []
-        for source in network.participating(survivors):
-            try:
-                server.send_to_source(source.node_id, global_basis, tag="dispca-basis")
-            except DeliveryError:
-                network.mark_failed(source.node_id)
-                continue
-            receivers.append(source)
-        network.advance_round()
-        if not receivers:
-            raise RuntimeError("disPCA: no source received the global basis")
-        parallel_map(lambda source: source.project_onto(global_basis), receivers, self.jobs)
-
-        transmitted = network.uplink_scalars() - before
-        return DisPCAResult(basis=global_basis, rank=rank, transmitted_scalars=transmitted)
+    transmitted = network.uplink_scalars() - before
+    return DisPCAResult(basis=global_basis, rank=rank, transmitted_scalars=transmitted)

@@ -22,7 +22,7 @@ condition every pipeline is bit-identical to the loss-free implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -176,13 +176,6 @@ class TransmissionLog:
         """Scalars that actually arrived (excludes lost attempts)."""
         return sum(
             m.scalars
-            for m in self.messages
-            if m.delivered and (m.uplink or not uplink_only)
-        )
-
-    def delivered_bits(self, uplink_only: bool = True) -> int:
-        return sum(
-            m.bits
             for m in self.messages
             if m.delivered and (m.uplink or not uplink_only)
         )
@@ -441,3 +434,34 @@ class SimulatedNetwork:
         self.failed_nodes = set()
         self._links = {}
         self._loss_rngs = {}
+
+
+def deliver_round(
+    network: SimulatedNetwork,
+    entries: Iterable[tuple],
+    send: Callable[..., object],
+    nothing_arrived: str,
+) -> List[tuple]:
+    """Run one round of a one-shot protocol under its fault policy.
+
+    ``entries`` are tuples whose first item is the source at the far end of
+    the transmission, and ``send(*entry)`` transmits one of them; entries go
+    out in order, so the metering is deterministic.  A source whose
+    transmission raises :class:`DeliveryError` (it is down, or every attempt
+    of its retry budget was lost) is marked failed for the rest of the run
+    and dropped.  The round then advances and the delivered entries are
+    returned in order; when none was delivered the round raises
+    ``RuntimeError(nothing_arrived)``.
+    """
+    delivered = []
+    for entry in entries:
+        try:
+            send(*entry)
+        except DeliveryError:
+            network.mark_failed(entry[0].node_id)
+            continue
+        delivered.append(entry)
+    network.advance_round()
+    if not delivered:
+        raise RuntimeError(nothing_arrived)
+    return delivered

@@ -30,8 +30,8 @@ class EdgeServer:
         the per-source sample-size allocation of disSS).
     k:
         Number of clusters to compute.
-    n_init, max_iterations:
-        Parameters of the server-side weighted k-means solver.
+    n_init:
+        Restarts of the server-side weighted k-means solver.
     seed:
         RNG seed for the solver.
     """
@@ -41,13 +41,11 @@ class EdgeServer:
         network: SimulatedNetwork,
         k: int,
         n_init: int = 5,
-        max_iterations: int = 100,
         seed: SeedLike = None,
     ) -> None:
         self.network = network
         self.k = check_positive_int(k, "k")
         self.n_init = check_positive_int(n_init, "n_init")
-        self.max_iterations = check_positive_int(max_iterations, "max_iterations")
         self.rng = as_generator(seed)
         #: Wall-clock seconds spent in server-side computation.
         self.compute_seconds = 0.0
@@ -75,12 +73,7 @@ class EdgeServer:
     # ------------------------------------------------------------------ API
     def solve_kmeans(self, coreset: Coreset) -> KMeansResult:
         """Weighted k-means on a coreset (the ``kmeans(S', w, k)`` step)."""
-        solver = WeightedKMeans(
-            k=self.k,
-            n_init=self.n_init,
-            max_iterations=self.max_iterations,
-            seed=self.rng,
-        )
+        solver = WeightedKMeans(k=self.k, n_init=self.n_init, seed=self.rng)
         return self._timed(solver.fit, coreset.points, coreset.weights)
 
     def global_svd(self, stacked: np.ndarray, rank: int) -> np.ndarray:

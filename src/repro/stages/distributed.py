@@ -26,9 +26,10 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.cr.coreset import Coreset, merge_coresets
-from repro.distributed.bklw import BKLWCoreset
 from repro.distributed.cluster import EdgeCluster
-from repro.distributed.conditions import DeliveryError
+from repro.distributed.dispca import run_dispca
+from repro.distributed.disss import run_disss
+from repro.distributed.network import deliver_round
 from repro.dr.jl import JLProjection, jl_target_dimension
 from repro.stages.base import StageContext
 from repro.stages.sizing import default_distributed_samples, default_pca_rank
@@ -151,10 +152,11 @@ class SharedJLStage(DistributedStage):
 class BKLWStage(DistributedStage):
     """disPCA + disSS over the (possibly already projected) shards.
 
-    Produces the merged coreset at the server (Lemma 5.1's "BKLW-based CR
-    method"); the final k-means solve is left to the engine.  Parameter
-    defaults are resolved against the *original* cluster geometry recorded in
-    the context, exactly as the monolithic pipelines did.
+    Runs disPCA at the resolved rank, then disSS with the resolved global
+    sample budget, and produces the merged coreset at the server (Lemma 5.1's
+    "BKLW-based CR method"); the final k-means solve is left to the engine.
+    Parameter defaults are resolved against the *original* cluster geometry
+    recorded in the context.
     """
 
     name = "BKLW"
@@ -182,21 +184,16 @@ class BKLWStage(DistributedStage):
     def apply_to_cluster(
         self, cluster: EdgeCluster, ctx: DistributedStageContext
     ) -> DistributedStageEffect:
-        builder = BKLWCoreset(
-            k=ctx.k,
-            epsilon=ctx.epsilon,
-            delta=ctx.delta,
-            pca_rank=self.resolve_rank(ctx),
-            total_samples=self.resolve_samples(ctx),
-            quantizer=ctx.quantizer,
-            jobs=ctx.jobs,
+        rank, samples = self.resolve_rank(ctx), self.resolve_samples(ctx)
+        dispca = run_dispca(cluster.sources, cluster.server, rank, ctx.jobs)
+        disss = run_disss(
+            cluster.sources, cluster.server, ctx.k, samples, ctx.quantizer, ctx.jobs
         )
-        built = builder.build(cluster.sources, cluster.server)
         return DistributedStageEffect(
-            coreset=built.coreset,
+            coreset=disss.coreset,
             details={
-                "dispca_scalars": float(built.dispca.transmitted_scalars),
-                "disss_scalars": float(built.disss.transmitted_scalars),
+                "dispca_scalars": float(dispca.transmitted_scalars),
+                "disss_scalars": float(disss.transmitted_scalars),
             },
         )
 
@@ -233,15 +230,17 @@ class RawGatherStage(DistributedStage):
         # Transmission phase (serial, source order): metering stays
         # deterministic whatever the compute interleaving was.  Like disSS,
         # the gather merges exactly the shards that arrived in this round.
-        received = []
-        for source, payload in zip(active, payloads):
-            try:
-                source.send_to_server(payload, tag="raw-data", significant_bits=bits)
-            except DeliveryError:
-                network.mark_failed(source.node_id)
-                continue
-            received.append(Coreset(payload, np.ones(payload.shape[0]), shift=0.0))
-        network.advance_round()
-        if not received:
-            raise RuntimeError("NR gather: no shard reached the server")
-        return DistributedStageEffect(coreset=merge_coresets(received))
+        arrived = deliver_round(
+            network,
+            zip(active, payloads),
+            lambda source, payload: source.send_to_server(
+                payload, tag="raw-data", significant_bits=bits
+            ),
+            "NR gather: no shard reached the server",
+        )
+        return DistributedStageEffect(
+            coreset=merge_coresets(
+                Coreset(payload, np.ones(payload.shape[0]), shift=0.0)
+                for _, payload in arrived
+            )
+        )

@@ -275,7 +275,9 @@ class StreamingServer:
         configuration, the accounting counters, and — crucially — the exact
         position of the per-query seed generator (the stream-wide rng
         handshake): a server rebuilt by :meth:`restore` derives the same
-        solver seed for its next query and answers it bit-identically.
+        solver seed for its next query and answers it bit-identically.  The
+        wall-clock :attr:`compute_seconds` is left out, so two servers fed
+        the same stream snapshot to the same bytes.
         """
         watermarks, buckets = self._fold.watermarks, self._fold.buckets
         return {
@@ -283,7 +285,6 @@ class StreamingServer:
             "n_init": self.n_init,
             "max_iterations": self.max_iterations,
             "rng": self.rng_state,
-            "compute_seconds": self.compute_seconds,
             "updates_folded": self.updates_folded,
             # The delivery watermarks ride in the snapshot so a restored
             # server keeps the same at-least-once guarantees: a client
@@ -331,6 +332,5 @@ class StreamingServer:
         # folding can continue, with an unknown (-1) watermark.
         for source_id, _ in fold.buckets:
             fold.register(source_id)
-        server.compute_seconds = float(snapshot.get("compute_seconds", 0.0))
         server.updates_folded = int(snapshot.get("updates_folded", 0))
         return server

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.core.engine
+import repro.distributed.server
 from repro.core.registry import (
     BKLWPipeline,
     DistributedNoReductionPipeline,
@@ -10,7 +12,7 @@ from repro.core.registry import (
 )
 from repro.distributed.partition import partition_dataset
 from repro.kmeans.cost import kmeans_cost
-from repro.kmeans.lloyd import solve_reference_kmeans
+from repro.kmeans.lloyd import WeightedKMeans, solve_reference_kmeans
 from repro.quantization.rounding import RoundingQuantizer
 from repro.stages.sizing import default_distributed_samples
 
@@ -28,6 +30,25 @@ class TestDefaults:
     def test_default_sample_budget(self):
         assert default_distributed_samples(10, 2) == 400
         assert default_distributed_samples(1, 2) == 200
+
+
+class TestServerSeconds:
+    @pytest.mark.parametrize("pipeline_cls", MULTI_PIPELINES)
+    def test_the_solve_is_counted_once(self, shards, pipeline_cls, monkeypatch):
+        # A clock that only the server's k-means fit moves, by one second: the
+        # report must read that one solve, whichever clock timed it.
+        clock = [0.0]
+        real_fit = WeightedKMeans.fit
+
+        def fit(self, *args, **kwargs):
+            clock[0] += 1.0
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(WeightedKMeans, "fit", fit)
+        for module in (repro.core.engine, repro.distributed.server):
+            monkeypatch.setattr(module, "perf_counter", lambda: clock[0])
+        report = pipeline_cls(k=3, seed=0, total_samples=80, pca_rank=8).run(shards)
+        assert report.server_seconds == 1.0
 
 
 class TestMultiSourcePipelines:

@@ -1,32 +1,58 @@
-"""Tests for the distributed protocols: disPCA, disSS, BKLW, EdgeCluster."""
+"""Tests for the distributed protocols: disPCA, disSS, the BKLW stage,
+EdgeCluster."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import make_gaussian_mixture
-from repro.distributed.bklw import BKLWCoreset
 from repro.distributed.cluster import EdgeCluster
-from repro.distributed.dispca import DistributedPCA
-from repro.distributed.disss import DistributedSensitivitySampler, disss_sample_size
+from repro.distributed.dispca import run_dispca
+from repro.distributed.disss import run_disss
+from repro.distributed.partition import partition_dataset
 from repro.kmeans.cost import kmeans_cost
 from repro.kmeans.lloyd import solve_reference_kmeans
 from repro.quantization.rounding import RoundingQuantizer
+from repro.stages.distributed import BKLWStage, DistributedStageContext
+from repro.utils.random import as_generator
+
+
+def partitioned_cluster(points, num_sources, k, seed):
+    """Split ``points`` at random across ``num_sources`` sources and build
+    the cluster over the shards, both from one generator."""
+    rng = as_generator(seed)
+    indices = partition_dataset(points, num_sources, seed=rng)
+    return EdgeCluster.from_shards([points[idx] for idx in indices], k=k, seed=rng)
+
+
+def union_points(cluster):
+    """The union of the sources' current local shards."""
+    return np.vstack([source.points for source in cluster.sources])
+
+
+def apply_bklw(cluster, k, pca_rank, total_samples):
+    """Apply :class:`BKLWStage` to ``cluster`` in a context built from the
+    cluster's geometry, as the engine builds it."""
+    ctx = DistributedStageContext(
+        k=k, epsilon=1.0 / 3.0, delta=0.1, rng=np.random.default_rng(0),
+        original_dimension=cluster.dimension,
+        total_cardinality=cluster.total_cardinality,
+        min_cardinality=min(source.cardinality for source in cluster.sources),
+        num_sources=cluster.num_sources,
+    )
+    return BKLWStage(pca_rank, total_samples).apply_to_cluster(cluster, ctx)
 
 
 @pytest.fixture()
 def cluster(high_dim_points):
-    return EdgeCluster.from_dataset(high_dim_points, num_sources=4, k=3, seed=0)
+    return partitioned_cluster(high_dim_points, num_sources=4, k=3, seed=0)
 
 
 class TestEdgeCluster:
-    def test_from_dataset_partitions_everything(self, high_dim_points, cluster):
+    def test_partitioned_shards_cover_the_dataset(self, high_dim_points, cluster):
         assert cluster.num_sources == 4
         assert cluster.total_cardinality == high_dim_points.shape[0]
         assert cluster.dimension == high_dim_points.shape[1]
-
-    def test_union_points_shape(self, high_dim_points, cluster):
-        union = cluster.union_points()
-        assert union.shape == high_dim_points.shape
+        assert union_points(cluster).shape == high_dim_points.shape
 
     def test_from_shards(self, blob_points):
         shards = [blob_points[:100], blob_points[100:250], blob_points[250:]]
@@ -48,22 +74,19 @@ class TestEdgeCluster:
 
 class TestDistributedPCA:
     def test_basis_is_orthonormal(self, cluster):
-        dispca = DistributedPCA(k=3, rank=6)
-        result = dispca.run(cluster.sources, cluster.server)
+        result = run_dispca(cluster.sources, cluster.server, rank=6, jobs=1)
         basis = result.basis
         assert basis.shape == (120, result.rank)
         assert np.allclose(basis.T @ basis, np.eye(result.rank), atol=1e-8)
 
     def test_sources_projected_in_place(self, cluster):
-        dispca = DistributedPCA(k=3, rank=5)
-        result = dispca.run(cluster.sources, cluster.server)
+        result = run_dispca(cluster.sources, cluster.server, rank=5, jobs=1)
         for source in cluster.sources:
             assert source.points.shape[1] == 120
             assert np.linalg.matrix_rank(source.points, tol=1e-6) <= result.rank
 
     def test_communication_accounted(self, cluster):
-        dispca = DistributedPCA(k=3, rank=5)
-        result = dispca.run(cluster.sources, cluster.server)
+        result = run_dispca(cluster.sources, cluster.server, rank=5, jobs=1)
         # Each source sends rank singular values + a (d x rank) basis.
         expected = cluster.num_sources * (5 + 120 * 5)
         assert result.transmitted_scalars == expected
@@ -74,39 +97,41 @@ class TestDistributedPCA:
         total energy discarded by the projection."""
         points, _, _ = high_dim_blobs
         reference = solve_reference_kmeans(points, 3, n_init=3, seed=0)
-        cluster = EdgeCluster.from_dataset(points, num_sources=4, k=3, seed=1)
+        cluster = partitioned_cluster(points, num_sources=4, k=3, seed=1)
         originals = [source.points.copy() for source in cluster.sources]
-        DistributedPCA(k=3, rank=20).run(cluster.sources, cluster.server)
+        run_dispca(cluster.sources, cluster.server, rank=20, jobs=1)
         delta = sum(
             float(np.sum((orig - source.points) ** 2))
             for orig, source in zip(originals, cluster.sources)
         )
-        projected_union = cluster.union_points()
+        projected_union = union_points(cluster)
         projected_cost = kmeans_cost(projected_union, reference.centers)
         original_cost = kmeans_cost(points, reference.centers)
         assert projected_cost <= original_cost * 1.1
         assert abs(projected_cost + delta - original_cost) <= 0.35 * original_cost
 
-    def test_requires_sources(self, cluster):
-        with pytest.raises(ValueError):
-            DistributedPCA(k=2).run([], cluster.server)
+    def test_rank_clamped_to_shard_dimension_and_size(self, blob_points):
+        # After a JL step the shards' dimension is the projected one, so the
+        # clamp reads the participating shards, not the original geometry.
+        narrow = EdgeCluster.from_shards(
+            [blob_points[:200, :8], blob_points[200:, :8]], k=2, seed=0
+        )
+        assert run_dispca(narrow.sources, narrow.server, rank=50, jobs=1).rank == 8
+        small = EdgeCluster.from_shards([blob_points[:3], blob_points[3:]], k=2, seed=0)
+        assert run_dispca(small.sources, small.server, rank=50, jobs=1).rank == 3
 
 
 class TestDistributedSensitivitySampler:
-    def test_sample_size_formula_monotone(self):
-        assert disss_sample_size(4, 50, 5, 0.2) > disss_sample_size(2, 50, 5, 0.2)
-        assert disss_sample_size(2, 50, 5, 0.1) > disss_sample_size(2, 50, 5, 0.3)
-
     def test_coreset_merged_at_server(self, cluster):
-        disss = DistributedSensitivitySampler(k=3, total_samples=80)
-        result = disss.run(cluster.sources, cluster.server)
+        result = run_disss(cluster.sources, cluster.server, k=3, total_samples=80,
+                           quantizer=None, jobs=1)
         assert result.coreset.size >= 80
         assert result.per_source_sizes.shape == (cluster.num_sources,)
         assert result.transmitted_scalars > 0
 
     def test_coreset_total_weight_close_to_n(self, cluster):
-        disss = DistributedSensitivitySampler(k=3, total_samples=100)
-        result = disss.run(cluster.sources, cluster.server)
+        result = run_disss(cluster.sources, cluster.server, k=3, total_samples=100,
+                           quantizer=None, jobs=1)
         assert result.coreset.total_weight == pytest.approx(
             cluster.total_cardinality, rel=0.35
         )
@@ -114,17 +139,17 @@ class TestDistributedSensitivitySampler:
     def test_coreset_cost_approximates_union_cost(self, high_dim_blobs):
         points, _, _ = high_dim_blobs
         reference = solve_reference_kmeans(points, 3, n_init=3, seed=0)
-        cluster = EdgeCluster.from_dataset(points, num_sources=3, k=3, seed=2)
-        disss = DistributedSensitivitySampler(k=3, total_samples=150)
-        result = disss.run(cluster.sources, cluster.server)
+        cluster = partitioned_cluster(points, num_sources=3, k=3, seed=2)
+        result = run_disss(cluster.sources, cluster.server, k=3, total_samples=150,
+                           quantizer=None, jobs=1)
         approx = result.coreset.cost(reference.centers)
         assert approx == pytest.approx(reference.cost, rel=0.5)
 
     def test_quantizer_reduces_bits(self, high_dim_points):
         def run_with(quantizer):
-            cluster = EdgeCluster.from_dataset(high_dim_points, num_sources=3, k=2, seed=3)
-            disss = DistributedSensitivitySampler(k=2, total_samples=60, quantizer=quantizer)
-            disss.run(cluster.sources, cluster.server)
+            cluster = partitioned_cluster(high_dim_points, num_sources=3, k=2, seed=3)
+            run_disss(cluster.sources, cluster.server, k=2, total_samples=60,
+                      quantizer=quantizer, jobs=1)
             return cluster.network.uplink_bits(), cluster.network.uplink_scalars()
 
         bits_full, scalars_full = run_with(None)
@@ -132,51 +157,36 @@ class TestDistributedSensitivitySampler:
         assert scalars_q == pytest.approx(scalars_full, rel=0.2)
         assert bits_q < bits_full
 
-    def test_requires_sources(self, cluster):
-        with pytest.raises(ValueError):
-            DistributedSensitivitySampler(k=2, total_samples=10).run([], cluster.server)
-
 
 class TestBKLW:
     def test_builds_coreset_and_accounts_both_stages(self, cluster):
-        builder = BKLWCoreset(k=3, pca_rank=6, total_samples=80)
-        result = builder.build(cluster.sources, cluster.server)
-        assert result.coreset.size > 0
-        assert result.dispca.transmitted_scalars > 0
-        assert result.disss.transmitted_scalars > 0
-        assert result.transmitted_scalars == (
-            result.dispca.transmitted_scalars + result.disss.transmitted_scalars
+        effect = apply_bklw(cluster, k=3, pca_rank=6, total_samples=80)
+        assert effect.coreset.size > 0
+        assert effect.details["dispca_scalars"] > 0
+        assert effect.details["disss_scalars"] > 0
+        assert cluster.network.uplink_scalars() == (
+            effect.details["dispca_scalars"] + effect.details["disss_scalars"]
         )
 
     def test_coreset_supports_accurate_kmeans(self, high_dim_blobs):
         points, _, _ = high_dim_blobs
         reference = solve_reference_kmeans(points, 3, n_init=3, seed=0)
-        cluster = EdgeCluster.from_dataset(points, num_sources=4, k=3, seed=4)
-        builder = BKLWCoreset(k=3, pca_rank=15, total_samples=150)
-        result = builder.build(cluster.sources, cluster.server)
-        server_result = cluster.server.solve_kmeans(result.coreset)
+        cluster = partitioned_cluster(points, num_sources=4, k=3, seed=4)
+        effect = apply_bklw(cluster, k=3, pca_rank=15, total_samples=150)
+        server_result = cluster.server.solve_kmeans(effect.coreset)
         cost = kmeans_cost(points, server_result.centers)
         assert cost <= reference.cost * 1.5
 
     def test_reused_server_merges_only_its_own_round(self):
         # A one-shot round merges exactly the sample sets that arrived in
-        # it: a second build on the same server must not fold the first
-        # round's coreset back in.
+        # it: a second application on the same server must not fold the
+        # first round's coreset back in.
         points, _, _ = make_gaussian_mixture(n=400, d=20, k=3, seed=0)
-        cluster = EdgeCluster.from_dataset(points, num_sources=4, k=3, seed=1)
-        builder = BKLWCoreset(k=3, pca_rank=5, total_samples=60)
+        cluster = partitioned_cluster(points, num_sources=4, k=3, seed=1)
         log = cluster.network.log
-        builder.build(cluster.sources, cluster.server)
+        apply_bklw(cluster, k=3, pca_rank=5, total_samples=60)
         mark = len(log.messages)
-        second = builder.build(cluster.sources, cluster.server)
+        second = apply_bklw(cluster, k=3, pca_rank=5, total_samples=60)
         arrived = sum(m.scalars for m in log.messages[mark:]
                       if m.tag == "disss-weights" and m.delivered)
         assert second.coreset.size == arrived
-
-    def test_resolved_samples_default(self, cluster):
-        builder = BKLWCoreset(k=3)
-        assert builder.resolved_samples(cluster.sources) > 0
-
-    def test_requires_sources(self, cluster):
-        with pytest.raises(ValueError):
-            BKLWCoreset(k=2).build([], cluster.server)

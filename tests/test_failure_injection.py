@@ -13,8 +13,8 @@ import repro
 from repro.cr.fss import FSSCoreset
 from repro.cr.sensitivity import SensitivitySampler
 from repro.distributed.cluster import EdgeCluster
-from repro.distributed.disss import DistributedSensitivitySampler
-from repro.distributed.dispca import DistributedPCA
+from repro.distributed.dispca import run_dispca
+from repro.distributed.disss import run_disss
 from repro.kmeans.lloyd import WeightedKMeans
 
 
@@ -62,11 +62,10 @@ class TestDegenerateDatasets:
 
 class TestDegenerateDistributedSetups:
     def test_single_source_cluster(self, blob_points):
-        cluster = EdgeCluster.from_dataset(blob_points, num_sources=1, k=2, seed=0)
-        DistributedPCA(k=2, rank=4).run(cluster.sources, cluster.server)
-        result = DistributedSensitivitySampler(k=2, total_samples=30).run(
-            cluster.sources, cluster.server
-        )
+        cluster = EdgeCluster.from_shards([blob_points], k=2, seed=0)
+        run_dispca(cluster.sources, cluster.server, rank=4, jobs=1)
+        result = run_disss(cluster.sources, cluster.server, k=2, total_samples=30,
+                           quantizer=None, jobs=1)
         assert result.coreset.size >= 30
 
     def test_many_tiny_shards(self, blob_points):

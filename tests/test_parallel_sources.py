@@ -115,17 +115,18 @@ class TestDistributedPerSourceSummaries:
         transmission log broken down by sender, by tag, and message by
         message — must match between sequential and parallel execution."""
         from repro.distributed.cluster import EdgeCluster
-        from repro.distributed.bklw import BKLWCoreset
+        from repro.distributed.dispca import run_dispca
+        from repro.distributed.disss import run_disss
 
         results = []
         for jobs in (1, 4):
             cluster = EdgeCluster.from_shards([s.copy() for s in shards], k=3, seed=11)
-            built = BKLWCoreset(
-                k=3, total_samples=60, pca_rank=6, jobs=jobs
-            ).build(cluster.sources, cluster.server)
-            results.append((built, cluster))
+            run_dispca(cluster.sources, cluster.server, rank=6, jobs=jobs)
+            disss = run_disss(cluster.sources, cluster.server, k=3, total_samples=60,
+                              quantizer=None, jobs=jobs)
+            results.append((disss, cluster))
         a, b = results[0][0], results[1][0]
-        np.testing.assert_array_equal(a.disss.per_source_sizes, b.disss.per_source_sizes)
+        np.testing.assert_array_equal(a.per_source_sizes, b.per_source_sizes)
         np.testing.assert_array_equal(a.coreset.points, b.coreset.points)
         np.testing.assert_array_equal(a.coreset.weights, b.coreset.weights)
         log_a = results[0][1].network.log

@@ -133,6 +133,25 @@ class TestServerSnapshot:
             assert theirs.cost == mine.cost
             np.testing.assert_array_equal(their_coreset.points, my_coreset.points)
 
+    def test_run_timing_stays_out_of_the_snapshot(self):
+        # Two servers folded identically but timed differently persist the
+        # same bytes: wall-clock seconds are not state.
+        fast, slow = self.make_server(), self.make_server()
+        fast.compute_seconds, slow.compute_seconds = 0.001, 12.345
+        assert json.dumps(fast.snapshot(), sort_keys=True) == json.dumps(
+            slow.snapshot(), sort_keys=True
+        )
+
+    def test_snapshot_with_run_timing_still_restores(self):
+        # Snapshots written before run timing left them still carry it.
+        server = self.make_server()
+        snap = roundtrip(server.snapshot())
+        snap["compute_seconds"] = 1.5
+        twin = StreamingServer.restore(snap)
+        assert twin.compute_seconds == 0.0
+        assert twin.updates_folded == server.updates_folded
+        np.testing.assert_array_equal(twin.query()[0].centers, server.query()[0].centers)
+
     def test_snapshot_survives_further_folding(self):
         server = self.make_server()
         snap = roundtrip(server.snapshot())
