@@ -3,9 +3,12 @@
 Times the hot primitives (fused assignment/cost, cluster means, k-means++,
 D²-sampling, bicriteria) and the end-to-end ``fss`` / ``jl-fss`` registered
 pipelines, plus bicriteria and FSS at a streaming source's leaf shape
-(32 × 8 batch, k = 4), where per-call overhead rather than arithmetic
-shows, and the two tall exact SVDs: disPCA's local SVD on a JL-projected
-2000 × 129 shard and a PCA fit on 4000 × 256.  The rows go to
+(32 × 8 batch, k = 4), the server's k-means solve at the two query shapes
+(a 320 × 8 streaming coreset with k = 4, 10 restarts and at most 25
+updates each; a 640 × 129 one-shot coreset with k = 2 and 5 restarts),
+where per-call overhead rather than arithmetic shows, and the two tall
+exact SVDs: disPCA's local SVD on a JL-projected 2000 × 129 shard and a
+PCA fit on 4000 × 256.  The rows go to
 ``BENCH_perf.json`` so CI uploads a machine-readable
 perf trajectory alongside the streaming benches.  The
 committed copy of the file additionally carries the ``baseline:*`` /
@@ -40,6 +43,8 @@ K = 10
 # The stream-fss leaf: one 32-row batch of 8-dim points, k = 4, coreset size
 # 64; each leaf row times LEAF_CALLS back-to-back calls.
 LEAF_CALLS = 200
+# Each query-shape solve row times QUERY_CALLS back-to-back fits.
+QUERY_CALLS = 50
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +70,14 @@ def test_primitive_timings(benchmark, dataset, centers):
         SimulatedNetwork(),
     )
     tall = np.random.default_rng(7).standard_normal((4000, 256))
+    query_rng = np.random.default_rng(8)
+    stream_query = query_rng.standard_normal((320, 8))
+    stream_weights = query_rng.random(320) + 0.5
+    oneshot_query = query_rng.standard_normal((640, 129))
+    oneshot_weights = query_rng.random(640) + 0.5
 
-    def leaf_calls(fn):
-        return lambda: [fn(seed) for seed in range(LEAF_CALLS)]
+    def leaf_calls(fn, calls=LEAF_CALLS):
+        return lambda: [fn(seed) for seed in range(calls)]
 
     rows = {
         "primitive:fused_assign_cost": {
@@ -106,6 +116,24 @@ def test_primitive_timings(benchmark, dataset, centers):
                 lambda seed: FSSCoreset(k=4, size=64, seed=seed).build(leaf)
             )),
             "calls": float(LEAF_CALLS),
+        },
+        "primitive:solve_query_stream": {
+            "seconds": time_best_of(leaf_calls(
+                lambda seed: WeightedKMeans(
+                    k=4, n_init=10, max_iterations=25, seed=seed
+                ).fit(stream_query, stream_weights),
+                QUERY_CALLS,
+            )),
+            "calls": float(QUERY_CALLS),
+        },
+        "primitive:solve_query_oneshot": {
+            "seconds": time_best_of(leaf_calls(
+                lambda seed: WeightedKMeans(k=2, n_init=5, seed=seed).fit(
+                    oneshot_query, oneshot_weights
+                ),
+                QUERY_CALLS,
+            )),
+            "calls": float(QUERY_CALLS),
         },
         "primitive:local_svd": {
             "seconds": time_best_of(lambda: shard_node.local_svd(10))

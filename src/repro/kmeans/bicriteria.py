@@ -22,12 +22,13 @@ draws its batch straight from the weighted D² scores, marks the fresh
 centers with a boolean mask and computes distances to those fresh centers
 only, with the row norms hoisted out of the loop, folding them into a
 per-point running minimum: each (point, center) distance is computed once
-per repetition.  The draws are bit-identical to a loop that calls the
-public, validating :func:`~repro.kmeans.seeding.d2_sampling` every round,
-which the tests keep as the reference.  Nearest-center labels and distances
-are computed once, for the winning repetition only, and cached on the
-result for downstream reuse (the sensitivity sampler needs exactly those
-quantities).
+per repetition.  The draw and the distance update are the trusted kernels
+k-means++ and the Lloyd pass share.  The draws are bit-identical to a loop
+that calls the public, validating :func:`~repro.kmeans.seeding.d2_sampling`
+every round, which the tests keep as the reference.  Nearest-center labels
+and distances are computed once, for the winning repetition only, with the
+hoisted row norms, and cached on the result for downstream reuse (the
+sensitivity sampler needs exactly those quantities).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from typing import Optional
 import numpy as np
 
 from repro.kmeans.cost import _nearest_center_pass
-from repro.utils.linalg import pairwise_squared_distances, squared_norms
+from repro.utils.linalg import _squared_distances_into, squared_norms
 from repro.utils.random import (
     SeedLike,
+    _draw_from_scores,
     as_generator,
     spawn_generators,
-    weighted_index_from_scores,
 )
 from repro.utils.validation import check_matrix, check_positive_int, check_weights
 
@@ -150,8 +151,7 @@ def bicriteria_approximation(
             best_cost = cost
     # Labels (and the matching D² vector) are needed only for the winner, so
     # the losing repetitions never pay the assignment pass.
-    labels = np.empty(points.shape[0], dtype=np.int64)
-    labels, d2 = _nearest_center_pass(points, best_centers, labels=labels)
+    labels, d2 = _nearest_center_pass(points, point_norms, best_centers)
     return BicriteriaResult(
         centers=best_centers,
         cost=float(best_cost),
@@ -186,16 +186,15 @@ def _single_adaptive_run(
     residual = np.inf
 
     for _ in range(rounds):
-        indices = weighted_index_from_scores(rng, scores, size=batch)
+        indices = _draw_from_scores(rng, scores, size=batch)
         fresh_mask = np.zeros(n, dtype=bool)
         fresh_mask[indices] = True
         fresh_mask[selected] = False
         fresh = np.flatnonzero(fresh_mask)
         selected[fresh] = True
         if fresh.size:
-            new_d2 = pairwise_squared_distances(
-                points, points[fresh],
-                a_squared_norms=point_norms, b_squared_norms=center_norms[fresh],
+            new_d2 = _squared_distances_into(
+                points, points[fresh], point_norms, center_norms[fresh]
             ).min(axis=1)
             if closest is None:
                 closest = new_d2

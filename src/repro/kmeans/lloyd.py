@@ -10,17 +10,25 @@ The iteration loop runs on the fused assignment/cost kernel
 iteration yields the labels, the min-distances, and the cost of the current
 centers together, where the naive loop paid three separate full-data passes
 (assign, cost, and a post-loop re-assignment).
+
+:meth:`WeightedKMeans.fit` validates its input once and computes the row
+norms and the weighted points once; every restart then runs on the trusted
+cores of k-means++, the nearest-center pass and the cluster means, with the
+same arithmetic as the public, validating functions.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.kmeans.cost import assign_and_cost, assign_to_centers, cluster_means
-from repro.kmeans.seeding import kmeans_plus_plus
+from repro.kmeans.cost import _assign_and_cost, _cluster_means, _nearest_center_pass
+from repro.kmeans.seeding import _kmeans_plus_plus
+from repro.utils.linalg import squared_norms
 from repro.utils.random import SeedLike, as_generator, spawn_generators
 from repro.utils.validation import (
     check_matrix,
@@ -110,8 +118,15 @@ class WeightedKMeans:
         self.k = check_positive_int(self.k, "k")
         self.n_init = check_positive_int(self.n_init, "n_init")
         self.max_iterations = check_positive_int(self.max_iterations, "max_iterations")
-        if self.tolerance < 0:
-            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
+        tolerance = self.tolerance
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            raise TypeError(f"tolerance must be a real number, got {type(tolerance)!r}")
+        if tolerance < 0:
+            raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+        if not math.isfinite(tolerance):
+            # NaN would never pass the convergence test: every restart would
+            # run silently to max_iterations.
+            raise ValueError(f"tolerance must be finite, got {tolerance}")
         self._rng = as_generator(self.seed)
 
     # ------------------------------------------------------------------ API
@@ -126,9 +141,12 @@ class WeightedKMeans:
         if np.all(weights == 0):
             raise ValueError("all weights are zero; cannot cluster")
 
+        # Per-fit arrays, shared by every restart.
+        point_norms = squared_norms(points)
+        weighted = points * weights[:, None]
         best: Optional[KMeansResult] = None
         for rng in spawn_generators(self._rng, self.n_init):
-            result = self._single_run(points, weights, rng)
+            result = self._single_run(points, point_norms, weighted, weights, rng)
             if best is None or result.cost < best.cost:
                 best = result
         best.restarts = self.n_init
@@ -140,11 +158,17 @@ class WeightedKMeans:
 
     # ------------------------------------------------------------ internals
     def _refill_empty(
-        self, points: np.ndarray, new_centers: np.ndarray, occupied: np.ndarray
+        self,
+        points: np.ndarray,
+        point_norms: np.ndarray,
+        new_centers: np.ndarray,
+        occupied: np.ndarray,
     ) -> None:
         """Re-seed empty clusters at the points farthest from their centers,
         keeping exactly k distinct centers whenever possible (in place)."""
-        _, d2 = assign_to_centers(points, new_centers[occupied])
+        _, d2 = _nearest_center_pass(
+            points, point_norms, new_centers[occupied], labelled=False
+        )
         refill = np.flatnonzero(~occupied)
         farthest = _farthest_indices(d2, refill.size)
         for slot, idx in zip(refill, farthest):
@@ -153,11 +177,13 @@ class WeightedKMeans:
     def _single_run(
         self,
         points: np.ndarray,
+        point_norms: np.ndarray,
+        weighted: np.ndarray,
         weights: np.ndarray,
         rng: np.random.Generator,
     ) -> KMeansResult:
         k = min(self.k, points.shape[0])
-        centers = kmeans_plus_plus(points, k, weights=weights, seed=rng)
+        centers = _kmeans_plus_plus(points, point_norms, weights, k, rng)
         previous_cost = np.inf
         converged = False
         iteration = 0
@@ -168,17 +194,15 @@ class WeightedKMeans:
         # — exactly the quantities the naive loop recomputed in separate
         # sweeps.  The final iteration's labels/cost are returned directly
         # (the old post-loop re-assignment recomputed both redundantly).
-        labels, _, _ = assign_and_cost(points, centers, weights)
+        labels, _ = _nearest_center_pass(points, point_norms, centers)
         cost = np.inf
         for iteration in range(1, self.max_iterations + 1):
-            new_centers, totals = cluster_means(
-                points, labels, k, weights, return_totals=True
-            )
+            new_centers, totals = _cluster_means(weighted, weights, labels, k)
             occupied = totals > 0
             if not occupied.all():
-                self._refill_empty(points, new_centers, occupied)
+                self._refill_empty(points, point_norms, new_centers, occupied)
             centers = new_centers
-            labels, _, cost = assign_and_cost(points, centers, weights)
+            labels, _, cost = _assign_and_cost(points, point_norms, centers, weights)
             # NOTE: with previous_cost = inf, any tolerance > 0 makes this
             # comparison inf <= inf on the first iteration, i.e. the
             # default-tolerance solver performs exactly one mean update per

@@ -14,6 +14,10 @@ All weighted draws go through the cumulative-sum + ``searchsorted`` sampler
 every selected center.  ``d2_sampling`` additionally accepts a precomputed
 min-distance vector so adaptive-sampling callers can maintain it
 incrementally instead of re-scanning all previously selected centers.
+
+:func:`kmeans_plus_plus` is its checks plus one call into a trusted core,
+which the Lloyd solver calls directly once per restart with the arrays and
+row norms it validated and computed once per fit.
 """
 
 from __future__ import annotations
@@ -22,8 +26,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.utils.linalg import pairwise_squared_distances, squared_norms
-from repro.utils.random import SeedLike, as_generator, weighted_index_from_scores
+from repro.utils.linalg import (
+    _squared_distances_into,
+    pairwise_squared_distances,
+    squared_norms,
+)
+from repro.utils.random import (
+    SeedLike,
+    _draw_from_scores,
+    as_generator,
+    weighted_index_from_scores,
+)
 from repro.utils.validation import check_matrix, check_positive_int, check_weights
 
 
@@ -57,20 +70,32 @@ def kmeans_plus_plus(
     n = points.shape[0]
     weights = check_weights(weights, n)
     rng = as_generator(seed)
-    k = min(k, n)
 
     total_weight = weights.sum()
     if total_weight <= 0:
         raise ValueError("weights must contain at least one positive entry")
+    return _kmeans_plus_plus(points, squared_norms(points), weights, min(k, n), rng)
 
-    # Hoisted across all candidate-distance updates below.
-    point_norms = squared_norms(points)
 
-    first = weighted_index_from_scores(rng, weights)
+def _kmeans_plus_plus(
+    points: np.ndarray,
+    point_norms: np.ndarray,
+    weights: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Trusted core of :func:`kmeans_plus_plus`.
+
+    Takes checked ``float64`` points with their row norms
+    (``squared_norms(points)``), weights with positive mass and
+    ``k <= len(points)``, and checks nothing: the Lloyd solver calls it once
+    per restart with arrays it validated and computed once per fit.
+    """
+    n = points.shape[0]
+    first = _draw_from_scores(rng, weights)
     chosen = [first]
-    closest = pairwise_squared_distances(
-        points, points[[first]],
-        a_squared_norms=point_norms, b_squared_norms=point_norms[[first]],
+    closest = _squared_distances_into(
+        points, points[[first]], point_norms, point_norms[[first]]
     ).ravel()
 
     for _ in range(1, k):
@@ -82,11 +107,10 @@ def kmeans_plus_plus(
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             pick = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
         else:
-            pick = weighted_index_from_scores(rng, scores)
+            pick = _draw_from_scores(rng, scores)
         chosen.append(pick)
-        new_d = pairwise_squared_distances(
-            points, points[[pick]],
-            a_squared_norms=point_norms, b_squared_norms=point_norms[[pick]],
+        new_d = _squared_distances_into(
+            points, points[[pick]], point_norms, point_norms[[pick]]
         ).ravel()
         np.minimum(closest, new_d, out=closest)
 

@@ -73,6 +73,23 @@ def pairwise_squared_distances(
         b_squared_norms = squared_norms(b)
     if a_squared_norms is None:
         a_squared_norms = squared_norms(a)
+    return _squared_distances_into(a, b, a_squared_norms, b_squared_norms, out)
+
+
+def _squared_distances_into(
+    a: np.ndarray,
+    b: np.ndarray,
+    a_norms: np.ndarray,
+    b_norms: np.ndarray,
+    out: np.ndarray = None,
+) -> np.ndarray:
+    """Trusted core of :func:`pairwise_squared_distances`.
+
+    Takes 2-D float arrays of matching width and both row-norm vectors, and
+    checks nothing: the k-means layer calls it from loops whose inputs its
+    public entry already validated.  ``out`` is the ``(len(a), len(b))``
+    buffer to fill; ``None`` allocates one.
+    """
     if out is None:
         out = np.empty((a.shape[0], b.shape[0]), dtype=np.result_type(a, b))
     # In-place evaluation of |a|^2 - 2 a.b + |b|^2 inside the (possibly
@@ -80,8 +97,8 @@ def pairwise_squared_distances(
     # expression bit for bit.
     np.matmul(a, b.T, out=out)
     out *= -2.0
-    out += a_squared_norms[:, None]
-    out += b_squared_norms[None, :]
+    out += a_norms[:, None]
+    out += b_norms[None, :]
     np.maximum(out, 0.0, out=out)
     return out
 

@@ -10,6 +10,7 @@ seeds of every JL projection, sampler, and solver it spawns via
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Iterable, List, Optional, Union
 
@@ -114,18 +115,7 @@ def weighted_indices(
         # choice() validated this; a negative entry would make the CDF
         # non-monotonic and the binary search silently wrong.
         raise ValueError("probabilities must be non-negative")
-    # Accumulate in float64 regardless of input dtype (choice() casts p the
-    # same way); also keeps the in-place normalization below well-typed for
-    # integer score vectors.
-    cdf = np.cumsum(probabilities, dtype=np.float64)
-    total = cdf[-1]
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("probabilities must contain positive mass")
-    cdf /= total
-    if size is None:
-        return int(cdf.searchsorted(rng.random(), side="right"))
-    idx = cdf.searchsorted(rng.random(int(size)), side="right")
-    return np.asarray(idx, dtype=np.int64)
+    return _inverse_cdf_draw(rng, probabilities, size)
 
 
 def weighted_index_from_scores(
@@ -145,6 +135,40 @@ def weighted_index_from_scores(
     probabilities = np.asarray(scores, dtype=float)
     probabilities = probabilities / probabilities.sum()
     return weighted_indices(rng, probabilities, size=size)
+
+
+def _draw_from_scores(
+    rng: np.random.Generator, scores: np.ndarray, size: Optional[int] = None
+):
+    """Trusted core of :func:`weighted_index_from_scores`.
+
+    ``scores`` must be a non-negative ``float64`` vector, as the k-means
+    layer's D² scores are by construction; the same float sequence as the
+    public function (normalize, cumulative sum, renormalize, search) without
+    its array conversion and sign scan.
+    """
+    return _inverse_cdf_draw(rng, scores / scores.sum(), size)
+
+
+def _inverse_cdf_draw(
+    rng: np.random.Generator, probabilities: np.ndarray, size: Optional[int]
+):
+    """One cumulative sum, a mass check, normalization and the
+    ``searchsorted`` draws: the shared body of the weighted samplers."""
+    # Accumulate in float64 regardless of input dtype (choice() casts p the
+    # same way); also keeps the in-place normalization below well-typed for
+    # integer score vectors.
+    cdf = probabilities.cumsum(dtype=np.float64)
+    total = cdf[-1]
+    # A NaN or overflowed total (distances of extreme-magnitude points) must
+    # raise, not feed the binary search a NaN CDF.
+    if not math.isfinite(total) or total <= 0:
+        raise ValueError("probabilities must contain positive mass")
+    cdf /= total
+    if size is None:
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    idx = cdf.searchsorted(rng.random(int(size)), side="right")
+    return np.asarray(idx, dtype=np.int64)
 
 
 def permutation_chunks(

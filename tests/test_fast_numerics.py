@@ -1,12 +1,14 @@
 """Tests for the fast numerical core: fused kernels, fast samplers, the
-trusted bicriteria loop, validate-once counts, and the dtype policy.
+trusted bicriteria loop and Lloyd solver, validate-once counts, and the
+dtype policy.
 
 Three contracts are pinned here:
 
 1. **Parity** — the fused assignment/cost kernel, the searchsorted samplers,
-   and the incremental bicriteria sweep must match their naive formulations
-   bit for bit (the registry's golden communication values depend on the
-   exact RNG draw sequence, so "equivalent" is not enough).
+   the incremental bicriteria sweep and the Lloyd solver's trusted restarts
+   must match their naive formulations bit for bit (the registry's golden
+   communication values depend on the exact RNG draw sequence, so
+   "equivalent" is not enough).
 2. **Determinism** — seeded sampler runs reproduce exactly.
 3. **Dtype policy** — the validating kernels promote ``float32`` input to
    ``float64``; the linear-algebra helpers pass it through, copy-free, for
@@ -27,11 +29,13 @@ from repro.distributed.node import DataSourceNode
 from repro.dr.jl import JLProjection
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import (
+    _BLOCK_ROWS,
     assign_and_cost,
     assign_to_centers,
     cluster_means,
     weighted_kmeans_cost,
 )
+from repro.kmeans.lloyd import WeightedKMeans, _farthest_indices
 from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
 from repro.stages.cr import UniformStage
 from repro.utils.linalg import pairwise_squared_distances
@@ -101,8 +105,18 @@ class TestFusedAssignCost:
 
 
 class TestClusterMeansSegmentSums:
-    def test_matches_scatter_add_bitwise(self, data):
+    @pytest.mark.parametrize("d", [17, 129])
+    @pytest.mark.parametrize("layout", ["c", "fortran"])
+    @pytest.mark.parametrize("weight_kind", ["positive", "zeros"])
+    def test_matches_scatter_add_bitwise(self, data, d, layout, weight_kind):
         points, weights = data
+        if d != points.shape[1]:
+            points = np.random.default_rng(d).standard_normal((points.shape[0], d))
+        if layout == "fortran":
+            points = np.asfortranarray(points)
+        if weight_kind == "zeros":
+            weights = weights.copy()
+            weights[1::3] = 0.0
         labels = np.random.default_rng(5).integers(0, 12, size=points.shape[0])
         means = cluster_means(points, labels, 12, weights)
         reference = np.zeros((12, points.shape[1]))
@@ -216,12 +230,83 @@ def reference_bicriteria(points, k, weights=None, rounds=None, seed=None,
     return best_centers, float(best_cost), labels, d2, rounds
 
 
-def _parity_points(n, duplicate=False):
+def reference_weighted_kmeans(points, k, weights=None, n_init=3,
+                              max_iterations=100, tolerance=1e-6, seed=None):
+    """Reference solver, written with the public kernels.
+
+    Each restart seeds through the validating ``kmeans_plus_plus``; every
+    nearest-center pass sweeps the blocks through the public
+    ``pairwise_squared_distances``, which computes each block's row norms
+    itself; the means are one ``bincount`` per column.  Returns
+    ``(centers, labels, cost, iterations, converged, refills)`` of the best
+    restart, where ``refills`` counts the mean updates of all restarts that
+    re-seeded an empty cluster.
+    """
+    points = check_matrix(points, "points")
+    n, d = points.shape
+    weights = check_weights(weights, n)
+
+    def nearest(centers):
+        labels, d2 = np.empty(n, dtype=np.int64), np.empty(n)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = pairwise_squared_distances(
+                points[start:start + _BLOCK_ROWS], centers
+            )
+            rows = slice(start, start + block.shape[0])
+            labels[rows] = block.argmin(axis=1)
+            d2[rows] = block[np.arange(block.shape[0]), labels[rows]]
+        return labels, d2
+
+    best, refills = None, 0
+    for rng in spawn_generators(as_generator(seed), n_init):
+        size = min(k, n)
+        centers = kmeans_plus_plus(points, size, weights=weights, seed=rng)
+        labels, _ = nearest(centers)
+        cost, previous, converged, iteration = np.inf, np.inf, False, 0
+        for iteration in range(1, max_iterations + 1):
+            totals = np.bincount(labels, weights=weights, minlength=size)
+            weighted = points * weights[:, None]
+            means = np.empty((size, d))
+            for j in range(d):
+                means[:, j] = np.bincount(
+                    labels, weights=weighted[:, j], minlength=size
+                )
+            occupied = totals > 0
+            means[~occupied] = 0.0
+            means[occupied] /= totals[occupied, None]
+            if not occupied.all():
+                refills += 1
+                _, d2 = nearest(means[occupied])
+                refill = np.flatnonzero(~occupied)
+                for slot, idx in zip(refill, _farthest_indices(d2, refill.size)):
+                    means[slot] = points[idx]
+            centers = means
+            labels, d2 = nearest(centers)
+            cost = float(np.dot(weights, d2))
+            if previous - cost <= tolerance * max(previous, 1e-300):
+                converged = True
+                break
+            previous = cost
+        if size < k:
+            centers = np.vstack([centers, np.repeat(centers[[0]], k - size, axis=0)])
+        if best is None or cost < best[2]:
+            best = (centers, labels, cost, iteration, converged)
+    return best + (refills,)
+
+
+def _parity_points(n, duplicate=False, d=5, layout=None):
     rng = np.random.default_rng(n)
     if duplicate:
-        return np.tile(rng.standard_normal((1, 5)), (n, 1))
-    points = rng.standard_normal((n, 5))
-    points[: n // 2] += 6.0
+        points = np.tile(rng.standard_normal((1, d)), (n, 1))
+    else:
+        points = rng.standard_normal((n, d))
+        points[: n // 2] += 6.0
+    if layout == "float32":
+        return points.astype(np.float32)
+    if layout == "fortran":
+        return np.asfortranarray(points)
+    if layout == "strided":
+        return np.repeat(points, 2, axis=1)[:, ::2]
     return points
 
 
@@ -256,6 +341,35 @@ PARITY_CASES = [
 ]
 
 
+SOLVER_CASES = [
+    dict(n=n, d=d, k=k, weights=w, tolerance=t)
+    for n in (1, 2, 32, 320)
+    for d in (8, 129)
+    for k in (1, 4, n + 1)
+    for w in (None, "positive", "zeros")
+    for t in (1e-6, 0)
+] + [
+    # Two blocks of _BLOCK_ROWS rows and more.
+    dict(n=9000, d=d, k=k, weights=w, tolerance=t)
+    for d in (8, 129)
+    for k in (1, 4)
+    for w in (None, "zeros")
+    for t in (1e-6, 0)
+] + [
+    dict(n=n, d=8, k=k, weights=w, tolerance=t, duplicate=True)
+    for n in (2, 32, 320)
+    for k in (1, 4)
+    for w in (None, "zeros")
+    for t in (1e-6, 0)
+] + [
+    dict(n=n, d=8, k=4, weights=w, tolerance=t, layout=layout)
+    for n in (32, 320, 9000)
+    for w in (None, "zeros")
+    for t in (1e-6, 0)
+    for layout in ("float32", "fortran", "strided")
+]
+
+
 def _parity_id(case):
     return "-".join(f"{key}={value}" for key, value in case.items())
 
@@ -282,14 +396,9 @@ class TestIncrementalBicriteria:
         shifts both sides alike and cannot flip the comparison.
         """
         n, k = case["n"], case["k"]
-        points = _parity_points(n, case.get("duplicate", False))
-        layout = case.get("layout")
-        if layout == "float32":
-            points = points.astype(np.float32)
-        elif layout == "fortran":
-            points = np.asfortranarray(points)
-        elif layout == "strided":
-            points = np.repeat(points, 2, axis=1)[:, ::2]
+        points = _parity_points(
+            n, case.get("duplicate", False), layout=case.get("layout")
+        )
         weights = _parity_weights(case["weights"], n)
         rounds = case.get("rounds")
         for seed in (0, 1):
@@ -307,6 +416,39 @@ class TestIncrementalBicriteria:
             assert result.rounds == ref_rounds
             if case.get("duplicate"):
                 assert cost == 0.0  # the residual-0 early exit ran
+
+
+class TestTrustedSolver:
+    @pytest.mark.parametrize("case", SOLVER_CASES, ids=_parity_id)
+    def test_bit_parity_with_reference_fit(self, case):
+        """The solver's trusted restarts reproduce the public-kernel loop
+        bit for bit: centers, labels, cost, iterations and convergence."""
+        n, k, tolerance = case["n"], case["k"], case["tolerance"]
+        points = _parity_points(
+            n, case.get("duplicate", False), d=case["d"], layout=case.get("layout")
+        )
+        weights = _parity_weights(case["weights"], n)
+        # Two restarts of at most 25 updates keep the multi-block cases short.
+        n_init, max_iterations = (2, 25) if n > _BLOCK_ROWS else (3, 100)
+        for seed in (0, 1):
+            result = WeightedKMeans(
+                k=k, n_init=n_init, max_iterations=max_iterations,
+                tolerance=tolerance, seed=seed,
+            ).fit(points, weights)
+            centers, labels, cost, iterations, converged, refills = (
+                reference_weighted_kmeans(
+                    points, k, weights=weights, n_init=n_init,
+                    max_iterations=max_iterations, tolerance=tolerance, seed=seed,
+                )
+            )
+            assert result.centers.dtype == centers.dtype
+            np.testing.assert_array_equal(result.centers, centers)
+            np.testing.assert_array_equal(result.labels, labels)
+            assert result.cost == cost
+            assert result.iterations == iterations
+            assert result.converged == converged
+            if case.get("duplicate") and k > 1:
+                assert refills > 0  # empty clusters were re-seeded
 
 
 def count_validation_calls(fn, callers=None):
@@ -366,6 +508,22 @@ class TestValidateOnce:
             for value in values
         ]
         assert counts[0] == counts[1]
+
+    def test_solver_fit_independent_of_restarts_and_iterations(self, data):
+        """One fit validates its input once, whatever the number of
+        restarts and mean updates (``tolerance=0`` iterates to the fixed
+        point)."""
+        points, weights = data
+        counts = [
+            count_validation_calls(
+                lambda: WeightedKMeans(
+                    k=4, n_init=n_init, tolerance=tolerance, seed=2
+                ).fit(points[:320], weights[:320])
+            )
+            for n_init in (1, 10)
+            for tolerance in (1e-6, 0)
+        ]
+        assert counts == [counts[0]] * 4, counts
 
     def test_node_jl_step_does_not_rescan_the_shard(self):
         shard = np.random.default_rng(6).standard_normal((200, 30))

@@ -67,6 +67,28 @@ class TestWeightedKMeans:
         with pytest.raises(ValueError):
             WeightedKMeans(k=2, tolerance=-1.0)
 
+    @pytest.mark.parametrize("tolerance, error, message", [
+        (float("nan"), ValueError, "tolerance must be finite, got nan"),
+        (float("inf"), ValueError, "tolerance must be finite, got inf"),
+        (None, TypeError, "tolerance must be a real number"),
+        ("0.1", TypeError, "tolerance must be a real number"),
+        (True, TypeError, "tolerance must be a real number"),
+    ], ids=["nan", "inf", "none", "str", "bool"])
+    def test_tolerance_must_be_a_finite_non_negative_real(
+        self, tolerance, error, message
+    ):
+        # NaN and inf used to pass the `tolerance < 0` test: NaN ran every
+        # restart silently to max_iterations, unconverged.
+        with pytest.raises(error, match=message):
+            WeightedKMeans(k=2, tolerance=tolerance)
+
+    @pytest.mark.parametrize(
+        "tolerance", [0, 0.0, 1e-6, np.float64(1e-3), np.float32(1e-3)],
+        ids=["int", "float", "default", "float64", "float32"],
+    )
+    def test_valid_tolerance_is_kept_as_given(self, tolerance):
+        assert WeightedKMeans(k=2, tolerance=tolerance).tolerance is tolerance
+
     def test_fit_predict_labels_valid(self, blob_points):
         labels = WeightedKMeans(k=4, n_init=2, seed=3).fit_predict(blob_points)
         assert labels.min() >= 0
