@@ -3,10 +3,13 @@
 Times the hot primitives (fused assignment/cost, cluster means, k-means++,
 D²-sampling, bicriteria) and the end-to-end ``fss`` / ``jl-fss`` registered
 pipelines, plus bicriteria and FSS at a streaming source's leaf shape
-(32 × 8 batch, k = 4), the server's k-means solve at the two query shapes
-(a 320 × 8 streaming coreset with k = 4, 10 restarts and at most 25
-updates each; a 640 × 129 one-shot coreset with k = 2 and 5 restarts),
-where per-call overhead rather than arithmetic shows, and the two tall
+(32 × 8 batch, k = 4), bicriteria at the two ends of an aggregation hop's
+merge-and-re-reduce (704 and 3072 weighted points of 8 dims, k = 4, whose
+12-wide D² rounds take the row-minimum path), the server's k-means solve
+at the two query shapes (a 320 × 8 streaming coreset with k = 4, 10
+restarts and at most 25 updates each; a 640 × 129 one-shot coreset with
+k = 2 and 5 restarts), where per-call overhead rather than arithmetic
+shows, and the two tall
 exact SVDs: disPCA's local SVD on a JL-projected 2000 × 129 shard and a
 PCA fit on 4000 × 256.  The rows go to
 ``BENCH_perf.json`` so CI uploads a machine-readable
@@ -45,6 +48,8 @@ K = 10
 LEAF_CALLS = 200
 # Each query-shape solve row times QUERY_CALLS back-to-back fits.
 QUERY_CALLS = 50
+# Each aggregation-hop bicriteria row times HOP_CALLS back-to-back calls.
+HOP_CALLS = 20
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,20 @@ def test_primitive_timings(benchmark, dataset, centers):
     def leaf_calls(fn, calls=LEAF_CALLS):
         return lambda: [fn(seed) for seed in range(calls)]
 
+    def hop_row(rows):
+        hop_rng = np.random.default_rng(rows)
+        hop = hop_rng.standard_normal((rows, 8))
+        hop_weights = hop_rng.random(rows) + 0.5
+        return {
+            "seconds": time_best_of(leaf_calls(
+                lambda seed: bicriteria_approximation(
+                    hop, 4, weights=hop_weights, seed=seed
+                ),
+                HOP_CALLS,
+            )),
+            "calls": float(HOP_CALLS),
+        }
+
     rows = {
         "primitive:fused_assign_cost": {
             "seconds": time_best_of(lambda: assign_and_cost(dataset, centers))
@@ -111,6 +130,8 @@ def test_primitive_timings(benchmark, dataset, centers):
             )),
             "calls": float(LEAF_CALLS),
         },
+        "primitive:bicriteria_hop_704": hop_row(704),
+        "primitive:bicriteria_hop_3072": hop_row(3072),
         "primitive:fss_leaf": {
             "seconds": time_best_of(leaf_calls(
                 lambda seed: FSSCoreset(k=4, size=64, seed=seed).build(leaf)

@@ -1,7 +1,7 @@
 """Weighted k-means substrate.
 
 This package provides the clustering machinery the paper's pipelines depend
-on: cost functions (Eq. 1, 2, 4), k-means++ / D²-sampling seeding, a weighted
+on: cost functions (Eq. 1 and 4), k-means++ / D²-sampling seeding, a weighted
 Lloyd solver used both at the edge server and as the reference solver for the
 optimal-cost denominator, and the bicriteria approximation (adaptive
 sampling) used by sensitivity sampling and by the lower bound ``E`` in the
@@ -11,7 +11,6 @@ quantizer configuration of Section 6.3.
 from repro.kmeans.cost import (
     kmeans_cost,
     weighted_kmeans_cost,
-    partition_cost,
     assign_to_centers,
     assign_and_cost,
     cluster_means,
@@ -23,7 +22,6 @@ from repro.kmeans.bicriteria import bicriteria_approximation, BicriteriaResult
 __all__ = [
     "kmeans_cost",
     "weighted_kmeans_cost",
-    "partition_cost",
     "assign_to_centers",
     "assign_and_cost",
     "cluster_means",

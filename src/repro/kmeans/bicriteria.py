@@ -22,8 +22,14 @@ draws its batch straight from the weighted D² scores, marks the fresh
 centers with a boolean mask and computes distances to those fresh centers
 only, with the row norms hoisted out of the loop, folding them into a
 per-point running minimum: each (point, center) distance is computed once
-per repetition.  The draw and the distance update are the trusted kernels
-k-means++ and the Lloyd pass share.  The draws are bit-identical to a loop
+per repetition.  A round's minima come from the trusted min core
+:func:`~repro.utils.linalg._min_squared_distances_into`, in two
+``n × 3k`` buffers allocated once per call.  For 2 to 16 fresh centers it
+reduces along contiguous rows: at 3000 rows, ``min(axis=1)`` over 12
+columns took 110 µs and ``min(axis=0)`` of the transposed block 7 µs (one
+core of a 2-vCPU VM), and one bicriteria call at an aggregation hop's
+3072 × 8, k = 4, went from 10.5 to 6.7 ms.  The draw is the trusted kernel
+k-means++ shares.  The draws are bit-identical to a loop
 that calls the public, validating :func:`~repro.kmeans.seeding.d2_sampling`
 every round, which the tests keep as the reference.  Nearest-center labels
 and distances are computed once, for the winning repetition only, with the
@@ -34,12 +40,12 @@ sensitivity sampler needs exactly those quantities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.kmeans.cost import _nearest_center_pass
-from repro.utils.linalg import _squared_distances_into, squared_norms
+from repro.utils.linalg import _min_squared_distances_into, squared_norms
 from repro.utils.random import (
     SeedLike,
     _draw_from_scores,
@@ -139,12 +145,17 @@ def bicriteria_approximation(
     # bit whatever the layout of the input.
     contiguous = np.ascontiguousarray(points)
     center_norms = point_norms if contiguous is points else squared_norms(contiguous)
+    # One pair of distance buffers, wide enough for a full batch, serves
+    # every round of every repetition.
+    batch = min(3 * k, n)
+    buffers = (np.empty(n * batch), np.empty(n * batch))
 
     best_centers: Optional[np.ndarray] = None
     best_cost = np.inf
     for rep_rng in spawn_generators(rng, repetitions):
         centers, cost = _single_adaptive_run(
-            points, point_norms, center_norms, k, weights, rounds, rep_rng,
+            points, point_norms, center_norms, weights, batch, rounds, rep_rng,
+            buffers,
         )
         if best_centers is None or cost < best_cost:
             best_centers = centers
@@ -165,20 +176,21 @@ def _single_adaptive_run(
     points: np.ndarray,
     point_norms: np.ndarray,
     center_norms: np.ndarray,
-    k: int,
     weights: np.ndarray,
+    batch: int,
     rounds: int,
     rng: np.random.Generator,
+    buffers: Tuple[np.ndarray, np.ndarray],
 ):
-    """One adaptive-sampling pass: iteratively add D²-sampled batches.
+    """One adaptive-sampling pass: iteratively add D²-sampled batches of
+    ``batch`` draws.
 
     Trusts its inputs (:func:`bicriteria_approximation` validated them) and
     returns ``(centers, cost)``.  The per-point min squared distance to the
     selected set is maintained incrementally: each round computes distances
-    to that round's *newly added* centers only.
+    to that round's *newly added* centers only, in ``buffers``.
     """
     n = points.shape[0]
-    batch = min(3 * k, n)
     selected = np.zeros(n, dtype=bool)
     # Before any center is selected, D² sampling draws by weight alone.
     scores = weights
@@ -193,9 +205,9 @@ def _single_adaptive_run(
         fresh = np.flatnonzero(fresh_mask)
         selected[fresh] = True
         if fresh.size:
-            new_d2 = _squared_distances_into(
-                points, points[fresh], point_norms, center_norms[fresh]
-            ).min(axis=1)
+            new_d2 = _min_squared_distances_into(
+                points, points[fresh], point_norms, center_norms[fresh], buffers
+            )
             if closest is None:
                 closest = new_d2
             else:

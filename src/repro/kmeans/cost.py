@@ -3,8 +3,6 @@
 Implements the cost definitions used throughout the paper:
 
 * Eq. (1): ``cost(P, X) = sum_{p in P} min_{x in X} ||p - x||^2``
-* Eq. (2): partition cost — optimal within-cluster sum of squares of a
-  partition, attained at the cluster means.
 * Eq. (4): coreset cost — weighted cost plus the constant shift Δ
   (evaluated here through :func:`weighted_kmeans_cost`; the Δ bookkeeping
   lives in :class:`repro.cr.coreset.Coreset`).
@@ -14,22 +12,32 @@ All nearest-center passes funnel through one fused blockwise kernel
 and min-distances together inside a preallocated distance buffer, and
 :func:`assign_and_cost` additionally folds in the weighted cost — so callers
 that need all three (Lloyd iterations, samplers) pay one pass instead of
-three.  Every public entry validates its inputs to ``float64``: the
-kernel's expanded distance formula is numerically unsafe in single
-precision.  Each public entry is its checks plus one call into a trusted
-core (``_nearest_center_pass``, ``_assign_and_cost``, ``_cluster_means``);
-the Lloyd solver and the bicriteria loop call the cores directly with the
-arrays and row norms they validated and computed once.
+three.  A pass that needs the minima alone (:func:`kmeans_cost`,
+:func:`weighted_kmeans_cost`, the solver's empty-cluster refill) takes them
+from the trusted min core
+:func:`~repro.utils.linalg._min_squared_distances_into`, which reduces a
+narrow block of centers along contiguous rows and returns, bit for bit, the
+row minima of the same distance buffer.  Every public entry validates its
+inputs to ``float64``: the kernel's expanded distance formula is
+numerically unsafe in single precision.  Each public entry is its checks
+plus one call into a trusted core (``_nearest_center_pass``,
+``_assign_and_cost``, ``_cluster_means``); the Lloyd solver and the
+bicriteria loop call the cores directly with the arrays and row norms they
+validated and computed once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.utils.linalg import _squared_distances_into, squared_norms
-from repro.utils.validation import check_matrix, check_weights
+from repro.utils.linalg import (
+    _min_squared_distances_into,
+    _squared_distances_into,
+    squared_norms,
+)
+from repro.utils.validation import check_matrix, check_positive_int, check_weights
 
 # Centres are processed against points in blocks of this many rows to keep the
 # intermediate distance matrix small for large datasets.
@@ -48,7 +56,8 @@ def _nearest_center_pass(
     Trusted: takes checked points with their row norms
     (``squared_norms(points)``, sliced per block) and checked centers.
     Reuses a single preallocated ``(block, k)`` distance buffer across
-    blocks.  Returns ``(labels, dists)``; ``labels`` is ``None`` when not
+    blocks, and without labels a second one that the min core fills
+    transposed.  Returns ``(labels, dists)``; ``labels`` is ``None`` when not
     ``labelled``.
     """
     n = points.shape[0]
@@ -59,15 +68,19 @@ def _nearest_center_pass(
     center_norms = squared_norms(centers)
     block = min(_BLOCK_ROWS, n)
     buf = np.empty((block, k), dtype=dtype)
+    buffers = None if labelled else (buf.ravel(), np.empty(block * k, dtype=dtype))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
+        if labels is None:
+            dists[start:stop] = _min_squared_distances_into(
+                points[start:stop], centers, point_norms[start:stop],
+                center_norms, buffers,
+            )
+            continue
         d2 = _squared_distances_into(
             points[start:stop], centers, point_norms[start:stop], center_norms,
             out=buf[: stop - start],
         )
-        if labels is None:
-            dists[start:stop] = d2.min(axis=1)
-            continue
         block_labels = d2.argmin(axis=1)
         labels[start:stop] = block_labels
         dists[start:stop] = d2[np.arange(stop - start), block_labels]
@@ -186,13 +199,33 @@ def cluster_means(
     620 µs for ``np.add.at`` (best of 400 × 5 calls, one core of a 2-vCPU
     VM, numpy 2.4).
 
+    ``labels`` must hold one integer per point, each in ``[0, k)``; anything
+    else raises ``ValueError`` naming ``labels`` (a float label would
+    otherwise be truncated silently).  The trusted core
+    :func:`_cluster_means`, which the Lloyd solver calls with its own
+    labels, checks nothing.
+
     With ``return_totals=True`` also returns the per-cluster weight totals,
     which callers like the Lloyd solver need anyway for empty-cluster
     detection — saving a redundant ``bincount`` pass.
     """
     points = check_matrix(points, "points")
-    weights = check_weights(weights, points.shape[0])
-    labels = np.asarray(labels, dtype=np.int64)
+    n = points.shape[0]
+    weights = check_weights(weights, n)
+    k = check_positive_int(k, "k")
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(
+            f"labels must be a 1-D array of one label per point ({n}), "
+            f"got shape {labels.shape}"
+        )
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(
+            f"labels must lie in [0, {k}), got [{labels.min()}, {labels.max()}]"
+        )
+    labels = labels.astype(np.int64, copy=False)
     means, totals = _cluster_means(points * weights[:, None], weights, labels, k)
     if return_totals:
         return means, totals
@@ -218,44 +251,3 @@ def _cluster_means(
     means[~nonempty] = 0.0
     means[nonempty] /= totals[nonempty, None]
     return means, totals
-
-
-def partition_cost(
-    points: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    weights: Optional[np.ndarray] = None,
-) -> float:
-    """Optimal cost of a partition (Eq. 2): each cluster served by its mean."""
-    points = check_matrix(points, "points")
-    weights = check_weights(weights, points.shape[0])
-    means = cluster_means(points, labels, k, weights)
-    diffs = points - means[labels]
-    return float(np.sum(weights * np.einsum("ij,ij->i", diffs, diffs)))
-
-
-def partition_from_centers(points: np.ndarray, centers: np.ndarray) -> List[np.ndarray]:
-    """Return the induced partition P_{P,X} as a list of index arrays."""
-    labels, _ = assign_to_centers(points, centers)
-    return [np.flatnonzero(labels == i) for i in range(centers.shape[0])]
-
-
-def normalized_cost(
-    points: np.ndarray,
-    centers: np.ndarray,
-    reference_centers: np.ndarray,
-) -> float:
-    """Normalized k-means cost ``cost(P, X) / cost(P, X*)`` used in Section 7."""
-    numerator = kmeans_cost(points, centers)
-    denominator = kmeans_cost(points, reference_centers)
-    if denominator <= 0.0:
-        # A zero reference cost means the reference centers fit P exactly;
-        # any other solution either also has zero cost (ratio 1) or is
-        # infinitely worse.
-        return 1.0 if numerator <= 0.0 else float("inf")
-    return float(numerator / denominator)
-
-
-def within_cluster_sizes(labels: np.ndarray, k: int) -> np.ndarray:
-    """Number of points per cluster for a label vector."""
-    return np.bincount(np.asarray(labels, dtype=np.int64), minlength=k)

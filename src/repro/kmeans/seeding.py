@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.utils.linalg import (
+    _min_squared_distances_into,
     _squared_distances_into,
-    pairwise_squared_distances,
     squared_norms,
 )
 from repro.utils.random import (
@@ -153,7 +153,14 @@ def d2_sampling(
         scores = weights.copy()
     else:
         centers = check_matrix(current_centers, "current_centers")
-        closest = pairwise_squared_distances(points, centers).min(axis=1)
+        if centers.shape[1] != points.shape[1]:
+            raise ValueError(
+                f"current_centers must have the {points.shape[1]} columns of "
+                f"points, got {centers.shape[1]}"
+            )
+        closest = _min_squared_distances_into(
+            points, centers, squared_norms(points), squared_norms(centers)
+        )
         scores = weights * closest
 
     total = scores.sum()

@@ -38,7 +38,13 @@ from repro.kmeans.cost import (
 from repro.kmeans.lloyd import WeightedKMeans, _farthest_indices
 from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
 from repro.stages.cr import UniformStage
-from repro.utils.linalg import pairwise_squared_distances
+from repro.utils.linalg import (
+    _ROW_MIN_MAX_CENTERS,
+    _min_squared_distances_into,
+    _squared_distances_into,
+    pairwise_squared_distances,
+    squared_norms,
+)
 from repro.utils.random import (
     as_generator,
     spawn_generators,
@@ -338,6 +344,10 @@ PARITY_CASES = [
     for n in (32, 128)
     for w in (None, "zeros")
     for layout in ("float32", "fortran", "strided")
+] + [
+    # An aggregation hop's merge-and-reduce: up to 3072 rows of 8 dims.
+    dict(n=n, k=4, weights="positive", d=8)
+    for n in (1024, 2048, 3072)
 ]
 
 
@@ -397,7 +407,8 @@ class TestIncrementalBicriteria:
         """
         n, k = case["n"], case["k"]
         points = _parity_points(
-            n, case.get("duplicate", False), layout=case.get("layout")
+            n, case.get("duplicate", False), d=case.get("d", 5),
+            layout=case.get("layout"),
         )
         weights = _parity_weights(case["weights"], n)
         rounds = case.get("rounds")
@@ -449,6 +460,74 @@ class TestTrustedSolver:
             assert result.converged == converged
             if case.get("duplicate") and k > 1:
                 assert refills > 0  # empty clusters were re-seeded
+
+
+ROW_MIN_WIDTHS = sorted({
+    1, 2, 3, 4, 12, 30, 300, 3000,
+    _ROW_MIN_MAX_CENTERS - 1, _ROW_MIN_MAX_CENTERS, _ROW_MIN_MAX_CENTERS + 1,
+})
+
+
+def _row_min_case(n, d, rows):
+    """Points of one of the ``rows`` kinds and a function that draws ``width``
+    centers for them: half are rows of the points, so exact zeros reach the
+    clamp, and half are fresh; centers take the layout of the points."""
+    rng = np.random.default_rng(n * 1000 + d)
+    if rows == "duplicate":
+        points = np.tile(rng.standard_normal((1, d)), (n, 1))
+    else:
+        points = rng.standard_normal((n, d))
+        points[: n // 2] += 6.0
+        if rows == "zeros":
+            points[::3] = 0.0
+    layout = {"fortran": np.asfortranarray,
+              "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2]}.get(
+                  rows, lambda a: a)
+
+    def centers(width):
+        picked = points[rng.integers(0, n, size=width - width // 2)]
+        fresh = rng.standard_normal((width // 2, d))
+        if rows == "zeros":
+            fresh[:1] = 0.0
+        return layout(np.vstack([picked, fresh]))
+
+    return layout(points), centers
+
+
+class TestMinSquaredDistancesCore:
+    """The min core returns the row minima of the distance buffer bit for bit.
+
+    It reduces along contiguous rows for 2 to ``_ROW_MIN_MAX_CENTERS``
+    centers and plainly otherwise, so the widths straddle both ends of that
+    rule.  Each width also runs in oversized buffers full of NaN,
+    as bicriteria reuses one pair sized for a whole batch.
+    """
+
+    @pytest.mark.parametrize("d", [1, 5, 8, 129])
+    @pytest.mark.parametrize(
+        "rows", ["c", "fortran", "strided", "duplicate", "zeros"]
+    )
+    def test_matches_row_minima_of_distance_buffer(self, d, rows):
+        for n in (1, 2, 31, 223, 1024, 3072, 9000):
+            points, draw_centers = _row_min_case(n, d, rows)
+            point_norms = squared_norms(points)
+            for width in ROW_MIN_WIDTHS:
+                if n * width > 1_000_000:
+                    continue  # keeps every buffer under 8 MB
+                centers = draw_centers(width)
+                center_norms = squared_norms(centers)
+                expected = _squared_distances_into(
+                    points, centers, point_norms, center_norms
+                ).min(axis=1)
+                got = _min_squared_distances_into(
+                    points, centers, point_norms, center_norms
+                )
+                np.testing.assert_array_equal(got, expected)
+                buffers = tuple(np.full(n * width + 7, np.nan) for _ in range(2))
+                got = _min_squared_distances_into(
+                    points, centers, point_norms, center_norms, buffers
+                )
+                np.testing.assert_array_equal(got, expected)
 
 
 def count_validation_calls(fn, callers=None):

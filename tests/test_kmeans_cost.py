@@ -7,11 +7,7 @@ from repro.kmeans.cost import (
     assign_to_centers,
     cluster_means,
     kmeans_cost,
-    normalized_cost,
-    partition_cost,
-    partition_from_centers,
     weighted_kmeans_cost,
-    within_cluster_sizes,
 )
 
 
@@ -92,43 +88,22 @@ class TestClusterMeans:
         assert np.allclose(means[1], 0.0)
         assert np.allclose(means[2], 0.0)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 1, 2, 0],  # a label of k
+            [0, 1, -1, 0],  # a negative label
+            [0, 1, 0],  # three labels for four points
+            [[0, 1], [1, 0]],  # one label per point, but 2-D
+            [0.5, 1.7, 0, 1],  # floats would be truncated to [0, 1, 0, 1]
+            [0.0, 1.0, 0.0, 1.0],  # integral floats are not integer labels
+        ],
+        ids=["k", "negative", "short", "2-d", "fractional", "float"],
+    )
+    def test_labels_must_be_one_integer_per_point_in_range(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            cluster_means(np.ones((4, 3)), labels, 2)
 
-class TestPartitionCost:
-    def test_partition_cost_uses_means(self, tiny_points):
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        cost = partition_cost(tiny_points, labels, 2)
-        # Each cluster of 3 points at pairwise distance 1 around its mean.
-        expected = 2 * (2.0 / 3.0 + 2.0 / 3.0)
-        assert cost == pytest.approx(expected)
-
-    def test_partition_cost_lower_than_any_center_cost(self, blob_points):
-        centers = blob_points[:4]
-        labels, _ = assign_to_centers(blob_points, centers)
-        assert partition_cost(blob_points, labels, 4) <= kmeans_cost(blob_points, centers) + 1e-9
-
-    def test_partition_from_centers_covers_all_points(self, blob_points):
-        parts = partition_from_centers(blob_points, blob_points[:5])
-        total = sum(len(p) for p in parts)
-        assert total == blob_points.shape[0]
-
-
-class TestNormalizedCost:
-    def test_identity_is_one(self, blob_points):
-        c = blob_points[:3]
-        assert normalized_cost(blob_points, c, c) == pytest.approx(1.0)
-
-    def test_worse_centers_above_one(self, blobs):
-        points, _, true_centers = blobs
-        bad = np.zeros_like(true_centers)
-        assert normalized_cost(points, bad, true_centers) >= 1.0
-
-    def test_zero_reference_handled(self):
-        points = np.zeros((4, 2))
-        centers = np.zeros((1, 2))
-        assert normalized_cost(points, centers, centers) == 1.0
-
-
-class TestWithinClusterSizes:
-    def test_counts(self):
-        labels = np.array([0, 1, 1, 2, 2, 2])
-        assert np.array_equal(within_cluster_sizes(labels, 4), [1, 2, 3, 0])
+    def test_list_of_integer_labels_accepted(self):
+        means = cluster_means(np.arange(12.0).reshape(4, 3), [0, 1, 1, 0], 2)
+        np.testing.assert_array_equal(means, [[4.5, 5.5, 6.5], [4.5, 5.5, 6.5]])

@@ -77,3 +77,8 @@ class TestD2Sampling:
     def test_invalid_batch_raises(self, blob_points):
         with pytest.raises(ValueError):
             d2_sampling(blob_points, None, 0, seed=0)
+
+    def test_centers_of_another_dimension_raise(self, blob_points):
+        centers = np.zeros((2, blob_points.shape[1] + 1))
+        with pytest.raises(ValueError, match="current_centers"):
+            d2_sampling(blob_points, centers, 5, seed=0)
