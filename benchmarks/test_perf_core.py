@@ -11,7 +11,9 @@ restarts and at most 25 updates each; a 640 × 129 one-shot coreset with
 k = 2 and 5 restarts), where per-call overhead rather than arithmetic
 shows, and the two tall
 exact SVDs: disPCA's local SVD on a JL-projected 2000 × 129 shard and a
-PCA fit on 4000 × 256.  The rows go to
+PCA fit on 4000 × 256.  ``primitive:make_mnist_like`` times the MNIST-like
+generator at the ``oneshot`` benchmark's 20000 × 784 and keeps, apart from
+the timing, its ``tracemalloc`` peak over the output's bytes.  The rows go to
 ``BENCH_perf.json`` so CI uploads a machine-readable
 perf trajectory alongside the streaming benches.  The
 committed copy of the file additionally carries the ``baseline:*`` /
@@ -23,6 +25,7 @@ minute on a laptop.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ import pytest
 from bench_helpers import SCALE, record_perf, run_once, time_best_of
 from repro.core import registry
 from repro.cr.fss import FSSCoreset
-from repro.datasets import make_gaussian_mixture
+from repro.datasets import make_gaussian_mixture, make_mnist_like
 from repro.distributed.network import SimulatedNetwork
 from repro.distributed.node import DataSourceNode
 from repro.dr.pca import PCAProjection
@@ -50,6 +53,19 @@ LEAF_CALLS = 200
 QUERY_CALLS = 50
 # Each aggregation-hop bicriteria row times HOP_CALLS back-to-back calls.
 HOP_CALLS = 20
+# The generator row builds the oneshot benchmark's dataset shape.
+MNIST_SHAPE = (20_000, 784)
+
+
+def mnist_like_peak_ratio() -> float:
+    """``tracemalloc`` peak of one generation over the output's bytes."""
+    tracemalloc.start()
+    try:
+        points, _ = make_mnist_like(*MNIST_SHAPE, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / points.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +177,11 @@ def test_primitive_timings(benchmark, dataset, centers):
         },
         "primitive:pca_fit_tall": {
             "seconds": time_best_of(lambda: PCAProjection(rank=20).fit(tall))
+        },
+        # Timed first, so the traced call runs with numpy's lazy imports done.
+        "primitive:make_mnist_like": {
+            "seconds": time_best_of(lambda: make_mnist_like(*MNIST_SHAPE, seed=0)),
+            "tracemalloc_peak_ratio": mnist_like_peak_ratio(),
         },
         "primitive:lloyd_fit": {
             "seconds": time_best_of(

@@ -14,7 +14,17 @@ Three generators:
 
 Both named generators then apply the paper's normalization (shift to zero
 mean, scale to [-1, 1]), which :func:`repro.datasets.loaders.normalize_dataset`
-implements.
+implements; they run its in-place core on the array they built, after the
+same finite check.
+
+:func:`make_mnist_like` allocates its output once and fills it in place: the
+noise is drawn straight into it, and each block of ``_ROWS_PER_BLOCK`` rows
+is scaled, offset by its prototypes, dimmed and clipped there.  Apart from
+the output it holds one block's temporaries and, for the finite check, a
+boolean ``(n, d)`` mask: a ``tracemalloc`` peak of about 1.13× the output's
+bytes at 4096 × 784, where building it whole held 3.0×.  The values are the
+whole-array construction's bit for bit (``tests/test_datasets.py`` compares
+them with a frozen copy of it).
 """
 
 from __future__ import annotations
@@ -24,9 +34,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.loaders import normalize_dataset
+from repro.datasets.loaders import _normalize_in_place
 from repro.utils.random import SeedLike, as_generator
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_matrix, check_positive_int
+
+# make_mnist_like builds its output in blocks of this many rows, so the
+# gathered prototype and pixel-factor rows are never (n, d) temporaries.
+# Generating 20000 x 784 took the same time at 128 to 2048 rows per block
+# (0.218-0.226 s best of 7, 2-vCPU VM, numpy 2.4); at 256 a block temporary
+# stays under 7% of the output from 4096 rows up.
+_ROWS_PER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -89,9 +106,10 @@ def make_mnist_like(
     Construction: ``n_prototypes`` smooth prototype images are generated by
     low-pass filtering random pixel fields (so prototypes have the spatial
     correlation of digit strokes); each sample is a prototype plus pixel
-    noise, with a large fraction of background pixels forced to zero (MNIST
+    noise, with a large fraction of background pixels dimmed to 5% (MNIST
     images are mostly background).  Values are clipped to [0, 1] ("ink
-    intensity") before the paper's normalization.
+    intensity") before the paper's normalization.  The output is the one
+    ``(n, d)`` allocation (see the module docstring).
 
     Returns ``(points, spec)``.
     """
@@ -121,19 +139,29 @@ def make_mnist_like(
         prototypes[i] = field
 
     labels = rng.integers(0, n_prototypes, size=n)
-    points = prototypes[labels] + noise_scale * rng.standard_normal((n, d))
-    # Background sparsity: zero out the dimmest pixels of each prototype for
-    # all samples of that prototype.
+    # The noise is drawn straight into the output: the same stream as
+    # ``rng.standard_normal((n, d))``.
+    points = np.empty((n, d))
+    rng.standard_normal(out=points)
+    # Background sparsity: the pixels below a prototype's ``pixel_sparsity``
+    # quantile are scaled by 0.05 in all samples of that prototype.
+    pixel_factor = np.ones((n_prototypes, d))
     for i in range(n_prototypes):
         threshold = np.quantile(prototypes[i], pixel_sparsity)
-        dim_pixels = np.flatnonzero(prototypes[i] < threshold)
-        rows = np.flatnonzero(labels == i)
-        if rows.size and dim_pixels.size:
-            points[np.ix_(rows, dim_pixels)] *= 0.05
-    np.clip(points, 0.0, 1.0, out=points)
+        pixel_factor[i, prototypes[i] < threshold] = 0.05
+    # Each element becomes ``clip((p + s·z)·f)``; addition and multiplication
+    # commute and ``x * 1.0 == x``, so these are the bits of adding the
+    # gathered prototypes to the scaled noise and dimming the dim pixels.
+    for start in range(0, n, _ROWS_PER_BLOCK):
+        block = points[start:start + _ROWS_PER_BLOCK]
+        rows = labels[start:start + _ROWS_PER_BLOCK]
+        block *= noise_scale
+        block += prototypes[rows]
+        block *= pixel_factor[rows]
+        np.clip(block, 0.0, 1.0, out=block)
 
     if normalize:
-        points = normalize_dataset(points)
+        points = _normalize_in_place(check_matrix(points, "points"))
     spec = DatasetSpec(
         name="mnist-like",
         n=n,
@@ -193,7 +221,7 @@ def make_neurips_like(
         points[i, top] = rng.poisson(np.maximum(expected[i, top], 1e-9))
 
     if normalize:
-        points = normalize_dataset(points)
+        points = _normalize_in_place(check_matrix(points, "points"))
     spec = DatasetSpec(
         name="neurips-like",
         n=n,

@@ -36,7 +36,7 @@ from repro.distributed.node import DataSourceNode
 from repro.distributed.server import EdgeServer
 from repro.distributed.cluster import EdgeCluster
 from repro.distributed.partition import partition_dataset
-from repro.distributed.dispca import DisPCAResult, run_dispca
+from repro.distributed.dispca import run_dispca
 from repro.distributed.disss import DisSSResult, run_disss
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "EdgeCluster",
     "partition_dataset",
     "run_dispca",
-    "DisPCAResult",
     "run_disss",
     "DisSSResult",
 ]

@@ -20,7 +20,6 @@ k-means cost of the original union up to ``1 ± ε`` plus a constant shift Δ
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,33 +30,15 @@ from repro.distributed.server import EdgeServer
 from repro.utils.parallel import parallel_map
 
 
-@dataclass
-class DisPCAResult:
-    """Outcome of the disPCA protocol.
-
-    Attributes
-    ----------
-    basis:
-        The global top-``t2`` right singular subspace basis, ``(d, t2)``.
-    rank:
-        The rank ``t2`` actually used.
-    transmitted_scalars:
-        Scalars transmitted uplink by all sources during the protocol.
-    """
-
-    basis: np.ndarray
-    rank: int
-    transmitted_scalars: int
-
-
 def run_dispca(
     sources: Sequence[DataSourceNode],
     server: EdgeServer,
     rank: int,
     jobs: Optional[int],
-) -> DisPCAResult:
+) -> int:
     """Execute disPCA with ``t1 = t2 = rank``; each source's local shard is
-    replaced by its projection onto the global principal subspace.
+    replaced by its projection onto the global principal subspace.  Returns
+    the scalars all sources transmitted uplink during the protocol.
 
     The rank is clamped to the shards' current dimension (after a JL step,
     the projected one) and to the smallest participating shard.  ``jobs``
@@ -113,5 +94,4 @@ def run_dispca(
         jobs,
     )
 
-    transmitted = network.uplink_scalars() - before
-    return DisPCAResult(basis=global_basis, rank=rank, transmitted_scalars=transmitted)
+    return network.uplink_scalars() - before

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.cr.coreset import Coreset, merge_coresets
 from repro.distributed.network import deliver_round
 from repro.distributed.node import DataSourceNode
@@ -38,14 +36,11 @@ class DisSSResult:
     ----------
     coreset:
         The merged coreset ``(∪_i (S_i ∪ X_i), 0, w)`` held at the server.
-    per_source_sizes:
-        Sample budget allocated to each source.
     transmitted_scalars:
         Uplink scalars spent by the protocol.
     """
 
     coreset: Coreset
-    per_source_sizes: np.ndarray
     transmitted_scalars: int
 
 
@@ -115,9 +110,9 @@ def run_disss(
         sampled_points, weights = source.local_sensitivity_sample(bicriteria, size)
         if quantizer is not None:
             sampled_points = source.quantize(sampled_points, quantizer)
-        return source, size, sampled_points, weights
+        return source, sampled_points, weights
 
-    def _send(source, _, sampled_points, weights):
+    def _send(source, sampled_points, weights):
         source.send_to_server(
             sampled_points, tag="disss-samples", significant_bits=significant_bits
         )
@@ -137,8 +132,7 @@ def run_disss(
     return DisSSResult(
         coreset=merge_coresets(
             Coreset(sampled_points, weights, shift=0.0)
-            for _, _, sampled_points, weights in arrived
+            for _, sampled_points, weights in arrived
         ),
-        per_source_sizes=np.asarray([size for _, size, _, _ in arrived], dtype=int),
         transmitted_scalars=transmitted,
     )

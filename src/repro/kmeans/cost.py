@@ -87,6 +87,17 @@ def _nearest_center_pass(
     return labels, dists
 
 
+def _check_centers(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Check ``centers`` as a matrix with the checked ``points``' columns."""
+    centers = check_matrix(centers, "centers")
+    if centers.shape[1] != points.shape[1]:
+        raise ValueError(
+            f"centers must have the {points.shape[1]} columns of points, "
+            f"got {centers.shape[1]}"
+        )
+    return centers
+
+
 def _min_squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Distance from every point to its nearest center (squared)."""
     _, dists = _nearest_center_pass(
@@ -119,7 +130,7 @@ def assign_to_centers(
     lowest-index center, matching the paper's "ties broken arbitrarily".
     """
     points = check_matrix(points, "points")
-    centers = check_matrix(centers, "centers")
+    centers = _check_centers(centers, points)
     return _nearest_center_pass(points, squared_norms(points), centers)
 
 
@@ -143,7 +154,7 @@ def assign_and_cost(
     number of full-data distance sweeps per iteration.
     """
     points = check_matrix(points, "points")
-    centers = check_matrix(centers, "centers")
+    centers = _check_centers(centers, points)
     weights = check_weights(weights, points.shape[0])
     return _assign_and_cost(points, squared_norms(points), centers, weights, shift)
 
@@ -151,7 +162,7 @@ def assign_and_cost(
 def kmeans_cost(points: np.ndarray, centers: np.ndarray) -> float:
     """Unweighted k-means cost of ``centers`` on ``points`` (Eq. 1)."""
     points = check_matrix(points, "points")
-    centers = check_matrix(centers, "centers")
+    centers = _check_centers(centers, points)
     return float(_min_squared_distances(points, centers).sum())
 
 
@@ -173,7 +184,7 @@ def weighted_kmeans_cost(
         The additive constant Δ carried by generalized coresets.
     """
     points = check_matrix(points, "points")
-    centers = check_matrix(centers, "centers")
+    centers = _check_centers(centers, points)
     weights = check_weights(weights, points.shape[0])
     d2 = _min_squared_distances(points, centers)
     return float(np.dot(weights, d2) + shift)

@@ -185,14 +185,14 @@ class BKLWStage(DistributedStage):
         self, cluster: EdgeCluster, ctx: DistributedStageContext
     ) -> DistributedStageEffect:
         rank, samples = self.resolve_rank(ctx), self.resolve_samples(ctx)
-        dispca = run_dispca(cluster.sources, cluster.server, rank, ctx.jobs)
+        dispca_scalars = run_dispca(cluster.sources, cluster.server, rank, ctx.jobs)
         disss = run_disss(
             cluster.sources, cluster.server, ctx.k, samples, ctx.quantizer, ctx.jobs
         )
         return DistributedStageEffect(
             coreset=disss.coreset,
             details={
-                "dispca_scalars": float(dispca.transmitted_scalars),
+                "dispca_scalars": float(dispca_scalars),
                 "disss_scalars": float(disss.transmitted_scalars),
             },
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kmeans.cost import (
+    assign_and_cost,
     assign_to_centers,
     cluster_means,
     kmeans_cost,
@@ -107,3 +108,16 @@ class TestClusterMeans:
     def test_list_of_integer_labels_accepted(self):
         means = cluster_means(np.arange(12.0).reshape(4, 3), [0, 1, 1, 0], 2)
         np.testing.assert_array_equal(means, [[4.5, 5.5, 6.5], [4.5, 5.5, 6.5]])
+
+
+@pytest.mark.parametrize(
+    "cost_function",
+    [kmeans_cost, weighted_kmeans_cost, assign_to_centers, assign_and_cost],
+    ids=["kmeans_cost", "weighted_kmeans_cost", "assign_to_centers",
+         "assign_and_cost"],
+)
+def test_centers_must_have_the_points_columns(cost_function):
+    with pytest.raises(
+        ValueError, match=r"^centers must have the 3 columns of points, got 5$"
+    ):
+        cost_function(np.ones((4, 3)), np.ones((2, 5)))
