@@ -1,14 +1,15 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure from the paper's evaluation
-section (Section 7) on the synthetic substitutes of MNIST and NeurIPS (see
-DESIGN.md §2 for the substitution rationale).  Dataset sizes default to
-laptop-scale values so the full harness finishes in minutes; set the
-environment variables ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_RUNS`` /
-``REPRO_BENCH_SOURCES`` to run larger instances (see bench_helpers.py).
+section (Section 7) on the synthetic substitutes of MNIST and NeurIPS (the
+:mod:`repro.datasets` docstring gives the substitution rationale).  Dataset
+sizes default to laptop-scale values so the full harness finishes in
+minutes; set the environment variables ``REPRO_BENCH_SCALE`` /
+``REPRO_BENCH_RUNS`` / ``REPRO_BENCH_SOURCES`` to run larger instances (see
+bench_helpers.py).
 
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the printed
-tables; EXPERIMENTS.md records one such run next to the paper's numbers.
+tables.
 
 A test run writes its ``BENCH_*.json`` rows to a temporary directory, so
 running the suite never rewrites the committed files under

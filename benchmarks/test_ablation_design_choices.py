@@ -1,4 +1,4 @@
-"""A1 — Ablations of the design choices called out in DESIGN.md.
+"""A1 — Ablations of the design choices the paper fixes.
 
 Not a paper table/figure; these benches probe the knobs the paper fixes:
 

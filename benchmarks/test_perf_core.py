@@ -6,16 +6,17 @@ pipelines, plus bicriteria and FSS at a streaming source's leaf shape
 (32 × 8 batch, k = 4), bicriteria at the two ends of an aggregation hop's
 merge-and-re-reduce (704 and 3072 weighted points of 8 dims, k = 4, whose
 12-wide D² rounds take the row-minimum path), the server's k-means solve
-at the two query shapes (a 320 × 8 streaming coreset with k = 4, 10
+at the three query shapes (a 320 × 8 stream-tree root coreset and a
+1024 × 8 ``repro serve`` tenant of 16 sources' buckets, both with k = 4, 10
 restarts and at most 25 updates each; a 640 × 129 one-shot coreset with
 k = 2 and 5 restarts), where per-call overhead rather than arithmetic
-shows, and the two tall
-exact SVDs: disPCA's local SVD on a JL-projected 2000 × 129 shard and a
-PCA fit on 4000 × 256.  ``primitive:make_mnist_like`` times the MNIST-like
-generator at the ``oneshot`` benchmark's 20000 × 784 and keeps, apart from
-the timing, its ``tracemalloc`` peak over the output's bytes.  The rows go to
-``BENCH_perf.json`` so CI uploads a machine-readable
-perf trajectory alongside the streaming benches.  The
+shows, and the two tall exact SVDs: disPCA's local SVD on a JL-projected
+2000 × 129 shard and a PCA fit on 4000 × 256.
+``primitive:make_mnist_like`` times the MNIST-like generator at the
+``oneshot`` benchmark's 20000 × 784 and keeps, apart from the timing, its
+``tracemalloc`` peak over the output's bytes.  The rows go to
+``BENCH_perf.json`` so CI uploads a machine-readable perf trajectory
+alongside the streaming benches.  The
 committed copy of the file additionally carries the ``baseline:*`` /
 ``post:*`` rows measured on the 100k × 50 acceptance workload (see
 ``benchmarks/perf_baseline.py``).
@@ -96,6 +97,8 @@ def test_primitive_timings(benchmark, dataset, centers):
     stream_weights = query_rng.random(320) + 0.5
     oneshot_query = query_rng.standard_normal((640, 129))
     oneshot_weights = query_rng.random(640) + 0.5
+    serve_query = query_rng.standard_normal((1024, 8))
+    serve_weights = query_rng.random(1024) + 0.5
 
     def leaf_calls(fn, calls=LEAF_CALLS):
         return lambda: [fn(seed) for seed in range(calls)]
@@ -159,6 +162,15 @@ def test_primitive_timings(benchmark, dataset, centers):
                 lambda seed: WeightedKMeans(
                     k=4, n_init=10, max_iterations=25, seed=seed
                 ).fit(stream_query, stream_weights),
+                QUERY_CALLS,
+            )),
+            "calls": float(QUERY_CALLS),
+        },
+        "primitive:solve_query_serve": {
+            "seconds": time_best_of(leaf_calls(
+                lambda seed: WeightedKMeans(
+                    k=4, n_init=10, max_iterations=25, seed=seed
+                ).fit(serve_query, serve_weights),
                 QUERY_CALLS,
             )),
             "calls": float(QUERY_CALLS),

@@ -4,8 +4,8 @@ The paper summarizes its analysis in Table 2: for each algorithm, the
 communication cost and the data-source computational complexity as functions
 of ``(n, d, k, m, ε)``.  This module evaluates those expressions (up to the
 hidden constants, which cancel when comparing growth rates), so the scaling
-benchmark (E9 in DESIGN.md) can check that the *measured* costs of the
-implementation grow the way the theory predicts.
+benchmark (``benchmarks/test_table2_scaling.py``) can check that the
+*measured* costs of the implementation grow the way the theory predicts.
 """
 
 from __future__ import annotations

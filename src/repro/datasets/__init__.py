@@ -6,7 +6,6 @@ NeurIPS 1987–2015 word-count matrix (11,463 × 5,812), both normalized to
 package provides synthetic generators that reproduce the structural
 properties the algorithms are sensitive to — size, dimension, cluster
 structure, sparsity, and spectral decay — plus the paper's normalization.
-See DESIGN.md §2 for the substitution rationale.
 """
 
 from repro.datasets.synthetic import (

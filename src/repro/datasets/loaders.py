@@ -10,7 +10,8 @@ buffer.
 
 :func:`load_benchmark_dataset` is the single entry point used by examples and
 benchmarks; it maps the names ``"mnist"`` and ``"neurips"`` to the synthetic
-substitutes (see DESIGN.md) at a configurable scale.
+substitutes (see the :mod:`repro.datasets` docstring) at a configurable
+scale.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def load_benchmark_dataset(
     n, d:
         Optional size overrides (pass the paper's full 60,000 × 784 /
         11,463 × 5,812 to run at paper scale).  Generation holds about
-        1.13× the result's bytes for ``"mnist"`` (359 MiB at paper scale)
-        and about 2.2× for ``"neurips"``, whose expected-count matrix has
+        1.07× the result's bytes for ``"mnist"`` (359 MiB at paper scale)
+        and about 2.0× for ``"neurips"``, whose expected-count matrix has
         the result's shape.
     seed:
         Generation seed, for reproducibility across benchmark runs.

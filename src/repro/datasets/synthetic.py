@@ -20,9 +20,9 @@ same finite check.
 :func:`make_mnist_like` allocates its output once and fills it in place: the
 noise is drawn straight into it, and each block of ``_ROWS_PER_BLOCK`` rows
 is scaled, offset by its prototypes, dimmed and clipped there.  Apart from
-the output it holds one block's temporaries and, for the finite check, a
-boolean ``(n, d)`` mask: a ``tracemalloc`` peak of about 1.13× the output's
-bytes at 4096 × 784, where building it whole held 3.0×.  The values are the
+the output it holds one block's temporaries (the finite check allocates no
+mask): a ``tracemalloc`` peak of about 1.07× the output's bytes at
+4096 × 784, where building it whole held 3.0×.  The values are the
 whole-array construction's bit for bit (``tests/test_datasets.py`` compares
 them with a frozen copy of it).
 """
@@ -167,7 +167,7 @@ def make_mnist_like(
         n=n,
         d=d,
         k_hint=n_prototypes,
-        notes="synthetic substitute for the MNIST training set (see DESIGN.md)",
+        notes="synthetic substitute for the MNIST training set (see the repro.datasets docstring)",
     )
     return points, spec
 
@@ -227,6 +227,6 @@ def make_neurips_like(
         n=n,
         d=d,
         k_hint=n_topics,
-        notes="synthetic substitute for the NeurIPS word-count matrix (see DESIGN.md)",
+        notes="synthetic substitute for the NeurIPS word-count matrix (see the repro.datasets docstring)",
     )
     return points, spec

@@ -28,8 +28,9 @@ per repetition.  A round's minima come from the trusted min core
 reduces along contiguous rows: at 3000 rows, ``min(axis=1)`` over 12
 columns took 110 µs and ``min(axis=0)`` of the transposed block 7 µs (one
 core of a 2-vCPU VM), and one bicriteria call at an aggregation hop's
-3072 × 8, k = 4, went from 10.5 to 6.7 ms.  The draw is the trusted kernel
-k-means++ shares.  The draws are bit-identical to a loop
+3072 × 8, k = 4, went from 10.5 to 6.7 ms.  The draw searches the CDF of
+the trusted core k-means++ shares (``_scores_cdf``).  The draws are
+bit-identical to a loop
 that calls the public, validating :func:`~repro.kmeans.seeding.d2_sampling`
 every round, which the tests keep as the reference.  Nearest-center labels
 and distances are computed once, for the winning repetition only, with the
@@ -48,7 +49,8 @@ from repro.kmeans.cost import _nearest_center_pass
 from repro.utils.linalg import _min_squared_distances_into, squared_norms
 from repro.utils.random import (
     SeedLike,
-    _draw_from_scores,
+    _draw_from_cdf,
+    _scores_cdf,
     as_generator,
     spawn_generators,
 )
@@ -198,7 +200,7 @@ def _single_adaptive_run(
     residual = np.inf
 
     for _ in range(rounds):
-        indices = _draw_from_scores(rng, scores, size=batch)
+        indices = _draw_from_cdf(rng, _scores_cdf(scores), size=batch)
         fresh_mask = np.zeros(n, dtype=bool)
         fresh_mask[indices] = True
         fresh_mask[selected] = False

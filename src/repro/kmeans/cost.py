@@ -21,13 +21,17 @@ row minima of the same distance buffer.  Every public entry validates its
 inputs to ``float64``: the kernel's expanded distance formula is
 numerically unsafe in single precision.  Each public entry is its checks
 plus one call into a trusted core (``_nearest_center_pass``,
-``_assign_and_cost``, ``_cluster_means``); the Lloyd solver and the
-bicriteria loop call the cores directly with the arrays and row norms they
-validated and computed once.
+``_cluster_means``); the Lloyd solver and the bicriteria loop call the
+cores directly with the arrays and row norms they validated and computed
+once.  The labelled pass also takes a stack of center sets, one per Lloyd
+restart: the solver's lockstep restarts share one pass per iteration, each
+block one stacked product over the same ``_BLOCK_ROWS`` rows, with every
+restart's labels and distances bit for bit its own pass's.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -55,20 +59,29 @@ def _nearest_center_pass(
 
     Trusted: takes checked points with their row norms
     (``squared_norms(points)``, sliced per block) and checked centers.
-    Reuses a single preallocated ``(block, k)`` distance buffer across
-    blocks, and without labels a second one that the min core fills
-    transposed.  Returns ``(labels, dists)``; ``labels`` is ``None`` when not
-    ``labelled``.
+    Reuses a single preallocated distance buffer across blocks, and without
+    labels a second one that the min core fills transposed.  Returns
+    ``(labels, dists)``; ``labels`` is ``None`` when not ``labelled``.
+
+    The labelled pass also takes an ``(r, k, d)`` stack of center sets, one
+    per Lloyd restart, and returns ``(r, n)`` labels and distances: each
+    block is one stacked product (see
+    :func:`~repro.utils.linalg._squared_distances_into`) and one ``argmin``
+    over the last axis, so row ``i`` of the result is bit for bit the pass
+    over ``centers[i]`` alone.  The blocks keep their ``_BLOCK_ROWS`` rows
+    whatever the stack: a product over another block of rows rounds
+    differently.
     """
     n = points.shape[0]
-    k = centers.shape[0]
+    stack, k = centers.shape[:-2], centers.shape[-2]
+    width = math.prod(stack) * k
     dtype = np.result_type(points, centers)
-    dists = np.empty(n, dtype=dtype)
-    labels = np.empty(n, dtype=np.int64) if labelled else None
+    dists = np.empty(stack + (n,), dtype=dtype)
+    labels = np.empty(stack + (n,), dtype=np.int64) if labelled else None
     center_norms = squared_norms(centers)
     block = min(_BLOCK_ROWS, n)
-    buf = np.empty((block, k), dtype=dtype)
-    buffers = None if labelled else (buf.ravel(), np.empty(block * k, dtype=dtype))
+    buf = np.empty(block * width, dtype=dtype)
+    buffers = None if labelled else (buf, np.empty(block * k, dtype=dtype))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         if labels is None:
@@ -77,13 +90,17 @@ def _nearest_center_pass(
                 center_norms, buffers,
             )
             continue
+        # A contiguous block, the shorter last one too: argmin copies any other.
         d2 = _squared_distances_into(
             points[start:stop], centers, point_norms[start:stop], center_norms,
-            out=buf[: stop - start],
+            out=buf[: (stop - start) * width].reshape(stack + (stop - start, k)),
         )
-        block_labels = d2.argmin(axis=1)
-        labels[start:stop] = block_labels
-        dists[start:stop] = d2[np.arange(stop - start), block_labels]
+        # One row per (restart, point): argmin, then gather each row's minimum.
+        rows = d2.reshape(-1, k)
+        block_labels = rows.argmin(axis=1)
+        block_dists = rows[np.arange(rows.shape[0]), block_labels]
+        labels[..., start:stop] = block_labels.reshape(d2.shape[:-1])
+        dists[..., start:stop] = block_dists.reshape(d2.shape[:-1])
     return labels, dists
 
 
@@ -104,19 +121,6 @@ def _min_squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarra
         points, squared_norms(points), centers, labelled=False
     )
     return dists
-
-
-def _assign_and_cost(
-    points: np.ndarray,
-    point_norms: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray,
-    shift: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Trusted core of :func:`assign_and_cost`: one labelled pass and the
-    weighted cost of its distance vector."""
-    labels, dists = _nearest_center_pass(points, point_norms, centers)
-    return labels, dists, float(np.dot(weights, dists) + shift)
 
 
 def assign_to_centers(
@@ -156,7 +160,8 @@ def assign_and_cost(
     points = check_matrix(points, "points")
     centers = _check_centers(centers, points)
     weights = check_weights(weights, points.shape[0])
-    return _assign_and_cost(points, squared_norms(points), centers, weights, shift)
+    labels, dists = _nearest_center_pass(points, squared_norms(points), centers)
+    return labels, dists, float(np.dot(weights, dists) + shift)
 
 
 def kmeans_cost(points: np.ndarray, centers: np.ndarray) -> float:

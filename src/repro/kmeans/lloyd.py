@@ -5,16 +5,25 @@ Algorithms 1–4 of the paper, and (with multiple restarts on the full dataset)
 the reference solver that produces the optimal-cost denominator
 ``cost(P, X*)`` used by the normalized-cost metric of Section 7.
 
-The iteration loop runs on the fused assignment/cost kernel
-(:func:`repro.kmeans.cost.assign_and_cost`): one blockwise sweep per
-iteration yields the labels, the min-distances, and the cost of the current
-centers together, where the naive loop paid three separate full-data passes
-(assign, cost, and a post-loop re-assignment).
+The iteration loop runs on the fused nearest-center pass
+(:func:`repro.kmeans.cost._nearest_center_pass`): one blockwise sweep per
+iteration yields the labels and the min-distances of the current centers
+together, and the cost is their weighted sum, where the naive loop paid
+three separate full-data passes (assign, cost, and a post-loop
+re-assignment).
 
 :meth:`WeightedKMeans.fit` validates its input once and computes the row
-norms and the weighted points once; every restart then runs on the trusted
-cores of k-means++, the nearest-center pass and the cluster means, with the
-same arithmetic as the public, validating functions.
+norms and the weighted points once, then runs all ``n_init`` restarts in
+lockstep on the trusted cores, with the same arithmetic as the public,
+validating functions.  One k-means++ call seeds every restart, each from its
+own generator, and each Lloyd iteration is one nearest-center pass over the
+``(n_init, k, d)`` stack of the active restarts' centers.  A stacked product
+runs every restart's matrix through the BLAS call of its 2-D product, so
+each restart's centers, labels and cost are bit for bit those of a restart
+run alone.  The mean update, the empty-cluster refill and the cost stay per
+restart: a mean update stacked into one ``bincount`` would need an index of
+``n_init * n * d`` entries.  A restart that converges leaves the active
+set, and the first restart with a strictly lower cost wins.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kmeans.cost import _assign_and_cost, _cluster_means, _nearest_center_pass
+from repro.kmeans.cost import _cluster_means, _nearest_center_pass
 from repro.kmeans.seeding import _kmeans_plus_plus
 from repro.utils.linalg import squared_norms
 from repro.utils.random import SeedLike, as_generator, spawn_generators
@@ -144,13 +153,73 @@ class WeightedKMeans:
         # Per-fit arrays, shared by every restart.
         point_norms = squared_norms(points)
         weighted = points * weights[:, None]
-        best: Optional[KMeansResult] = None
-        for rng in spawn_generators(self._rng, self.n_init):
-            result = self._single_run(points, point_norms, weighted, weights, rng)
-            if best is None or result.cost < best.cost:
-                best = result
-        best.restarts = self.n_init
-        return best
+        k = min(self.k, points.shape[0])
+        rngs = spawn_generators(self._rng, self.n_init)
+        centers = _kmeans_plus_plus(points, point_norms, weights, k, rngs)
+
+        # One fused pass per iteration serves all active restarts: the labels
+        # produced against the *previous* centers drive this iteration's
+        # mean update, and the cost produced against the *updated* centers
+        # drives the convergence test.  A converged restart leaves the
+        # active set, its last labels and cost kept as its result.
+        labels, _ = _nearest_center_pass(points, point_norms, centers)
+        costs = [np.inf] * self.n_init
+        iterations = [self.max_iterations] * self.n_init
+        converged = [False] * self.n_init
+        active = list(range(self.n_init))
+        for iteration in range(1, self.max_iterations + 1):
+            for restart in active:
+                new_centers, totals = _cluster_means(
+                    weighted, weights, labels[restart], k
+                )
+                occupied = totals > 0
+                if not occupied.all():
+                    self._refill_empty(points, point_norms, new_centers, occupied)
+                centers[restart] = new_centers
+            active_labels, dists = _nearest_center_pass(
+                points, point_norms, centers[active]
+            )
+            labels[active] = active_labels
+            still_active = []
+            for restart, restart_dists in zip(active, dists):
+                previous_cost = costs[restart]
+                cost = costs[restart] = float(np.dot(weights, restart_dists))
+                # NOTE: with previous_cost = inf, any tolerance > 0 makes
+                # this comparison inf <= inf on the first iteration, i.e. the
+                # default-tolerance solver performs exactly one mean update
+                # per restart (quality comes from the k-means++ seeding and
+                # the restarts).  This is the seed implementation's
+                # behaviour, preserved bit for bit because every seeded
+                # golden value in the repo pins it; run with tolerance=0 to
+                # iterate to the fixed point.
+                if previous_cost - cost <= self.tolerance * max(previous_cost, 1e-300):
+                    converged[restart] = True
+                    iterations[restart] = iteration
+                else:
+                    still_active.append(restart)
+            active = still_active
+            if not active:
+                break
+
+        # The first strictly lower cost wins.
+        best = 0
+        for restart in range(1, self.n_init):
+            if costs[restart] < costs[best]:
+                best = restart
+        best_centers = centers[best]
+        if k < self.k:
+            # Pad with copies of existing centers so downstream code always
+            # sees exactly self.k rows.
+            pad = np.repeat(best_centers[[0]], self.k - k, axis=0)
+            best_centers = np.vstack([best_centers, pad])
+        return KMeansResult(
+            centers=best_centers.copy(),
+            labels=labels[best].copy(),
+            cost=costs[best],
+            iterations=iterations[best],
+            converged=converged[best],
+            restarts=self.n_init,
+        )
 
     def fit_predict(self, points: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """Convenience wrapper returning only the labels."""
@@ -173,62 +242,6 @@ class WeightedKMeans:
         farthest = _farthest_indices(d2, refill.size)
         for slot, idx in zip(refill, farthest):
             new_centers[slot] = points[idx]
-
-    def _single_run(
-        self,
-        points: np.ndarray,
-        point_norms: np.ndarray,
-        weighted: np.ndarray,
-        weights: np.ndarray,
-        rng: np.random.Generator,
-    ) -> KMeansResult:
-        k = min(self.k, points.shape[0])
-        centers = _kmeans_plus_plus(points, point_norms, weights, k, rng)
-        previous_cost = np.inf
-        converged = False
-        iteration = 0
-
-        # One fused pass per iteration: the labels produced against the
-        # *previous* centers drive this iteration's mean update, and the cost
-        # produced against the *updated* centers drives the convergence test
-        # — exactly the quantities the naive loop recomputed in separate
-        # sweeps.  The final iteration's labels/cost are returned directly
-        # (the old post-loop re-assignment recomputed both redundantly).
-        labels, _ = _nearest_center_pass(points, point_norms, centers)
-        cost = np.inf
-        for iteration in range(1, self.max_iterations + 1):
-            new_centers, totals = _cluster_means(weighted, weights, labels, k)
-            occupied = totals > 0
-            if not occupied.all():
-                self._refill_empty(points, point_norms, new_centers, occupied)
-            centers = new_centers
-            labels, _, cost = _assign_and_cost(points, point_norms, centers, weights)
-            # NOTE: with previous_cost = inf, any tolerance > 0 makes this
-            # comparison inf <= inf on the first iteration, i.e. the
-            # default-tolerance solver performs exactly one mean update per
-            # restart (quality comes from the k-means++ seeding and the
-            # restarts).  This is the seed implementation's behaviour,
-            # preserved bit for bit because every seeded golden value in the
-            # repo pins it; run with tolerance=0 to iterate to the fixed
-            # point.
-            if previous_cost - cost <= self.tolerance * max(previous_cost, 1e-300):
-                converged = True
-                previous_cost = cost
-                break
-            previous_cost = cost
-
-        if k < self.k:
-            # Pad with copies of existing centers so downstream code always
-            # sees exactly self.k rows.
-            pad = np.repeat(centers[[0]], self.k - k, axis=0)
-            centers = np.vstack([centers, pad])
-        return KMeansResult(
-            centers=centers,
-            labels=labels,
-            cost=float(cost),
-            iterations=iteration,
-            converged=converged,
-        )
 
 
 def solve_reference_kmeans(

@@ -15,14 +15,18 @@ every selected center.  ``d2_sampling`` additionally accepts a precomputed
 min-distance vector so adaptive-sampling callers can maintain it
 incrementally instead of re-scanning all previously selected centers.
 
-:func:`kmeans_plus_plus` is its checks plus one call into a trusted core,
-which the Lloyd solver calls directly once per restart with the arrays and
-row norms it validated and computed once per fit.
+:func:`kmeans_plus_plus` is its checks plus one call into a trusted core
+with one generator.  The Lloyd solver calls the core once per fit with one
+generator per restart, on the arrays and row norms it validated and
+computed once: the restarts seed in lockstep, each later step one ``(r, n)``
+array of D² scores and one stacked distance update for all of them, while
+every restart still draws from its own generator and gets, bit for bit,
+the centers it would get alone.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +37,8 @@ from repro.utils.linalg import (
 )
 from repro.utils.random import (
     SeedLike,
-    _draw_from_scores,
+    _draw_from_cdf,
+    _scores_cdf,
     as_generator,
     weighted_index_from_scores,
 )
@@ -74,7 +79,9 @@ def kmeans_plus_plus(
     total_weight = weights.sum()
     if total_weight <= 0:
         raise ValueError("weights must contain at least one positive entry")
-    return _kmeans_plus_plus(points, squared_norms(points), weights, min(k, n), rng)
+    return _kmeans_plus_plus(
+        points, squared_norms(points), weights, min(k, n), [rng]
+    )[0]
 
 
 def _kmeans_plus_plus(
@@ -82,39 +89,73 @@ def _kmeans_plus_plus(
     point_norms: np.ndarray,
     weights: np.ndarray,
     k: int,
-    rng: np.random.Generator,
+    rngs: List[np.random.Generator],
 ) -> np.ndarray:
-    """Trusted core of :func:`kmeans_plus_plus`.
+    """Trusted core of :func:`kmeans_plus_plus`: one seeding per generator,
+    in lockstep.
 
     Takes checked ``float64`` points with their row norms
     (``squared_norms(points)``), weights with positive mass and
     ``k <= len(points)``, and checks nothing: the Lloyd solver calls it once
-    per restart with arrays it validated and computed once per fit.
+    per fit, with one generator per restart, on arrays it validated and
+    computed once.  Returns the ``(len(rngs), k, d)`` stack of centers; each
+    matrix is bit for bit the seeding its generator makes alone.
+
+    The first draw's CDF comes from the weights alone and is built once.
+    Each later step forms every restart's D² scores as one ``(r, n)``
+    array, builds their CDFs row by row in one call, draws one uniform from
+    each restart's own generator, and updates all ``r`` distance vectors in
+    one stacked product (:func:`_pick_distances`).
     """
-    n = points.shape[0]
-    first = _draw_from_scores(rng, weights)
-    chosen = [first]
-    closest = _squared_distances_into(
-        points, points[[first]], point_norms, point_norms[[first]]
-    ).ravel()
+    n, restarts = points.shape[0], len(rngs)
+    chosen = np.empty((restarts, k), dtype=np.intp)
+    cdf = _scores_cdf(weights)
+    chosen[:, 0] = [_draw_from_cdf(rng, cdf) for rng in rngs]
+    closest = _pick_distances(points, point_norms, chosen[:, 0])
+    update = np.empty_like(closest)
 
-    for _ in range(1, k):
-        scores = weights * closest
-        total = scores.sum()
-        if total <= 0:
-            # All remaining mass is on already-covered points; pick uniformly
-            # among not-yet-chosen indices to keep centers distinct if possible.
-            remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
-            pick = int(rng.choice(remaining)) if remaining.size else int(rng.integers(n))
-        else:
-            pick = _draw_from_scores(rng, scores)
-        chosen.append(pick)
-        new_d = _squared_distances_into(
-            points, points[[pick]], point_norms, point_norms[[pick]]
-        ).ravel()
-        np.minimum(closest, new_d, out=closest)
+    for step in range(1, k):
+        # (restarts, n): every restart's D² scores against its centers so far.
+        scores = weights * closest[..., 0]
+        # All remaining mass is on already-covered points: such a restart
+        # picks uniformly among its not-yet-chosen indices, to keep its
+        # centers distinct if possible.  A NaN total is drawn, and raises.
+        covered = scores.sum(axis=1) <= 0
+        drawn = np.flatnonzero(~covered)
+        cdfs = _scores_cdf(scores if drawn.size == restarts else scores[drawn])
+        for restart, cdf in zip(drawn.tolist(), cdfs):
+            chosen[restart, step] = _draw_from_cdf(rngs[restart], cdf)
+        for restart in np.flatnonzero(covered).tolist():
+            rng = rngs[restart]
+            remaining = np.setdiff1d(np.arange(n), chosen[restart, :step])
+            chosen[restart, step] = (
+                rng.choice(remaining) if remaining.size else rng.integers(n)
+            )
+        _pick_distances(points, point_norms, chosen[:, step], update)
+        np.minimum(closest, update, out=closest)
 
-    return points[np.asarray(chosen, dtype=int)].copy()
+    return points[chosen]
+
+
+def _pick_distances(
+    points: np.ndarray,
+    point_norms: np.ndarray,
+    picks: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Squared distances from every point to each restart's pick.
+
+    ``picks`` holds one row index per restart.  Returns (or fills) the
+    ``(r, n, 1)`` array of one product of the points against the
+    ``(r, d, 1)`` stack of picked rows; slice ``i`` is bit for bit the
+    one-column product against ``points[[picks[i]]]`` alone.  Putting the
+    picks side by side into one ``(n, r)`` product would not be: numpy
+    sends a one-column product to ``gemv`` and a wider one to ``gemm``.
+    """
+    picked = picks[:, None]
+    return _squared_distances_into(
+        points, points[picked], point_norms, point_norms[picked], out
+    )
 
 
 def d2_sampling(

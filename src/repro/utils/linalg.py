@@ -29,11 +29,13 @@ def as_float_array(points: np.ndarray) -> np.ndarray:
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
-    """Row-wise squared Euclidean norms of a ``(n, d)`` matrix."""
+    """Row-wise squared Euclidean norms of a ``(n, d)`` matrix, or of each
+    matrix of a ``(..., n, d)`` stack (one ``einsum`` sums each row the same
+    way, stacked or not)."""
     points = as_float_array(points)
     if points.ndim == 1:
         points = points[None, :]
-    return np.einsum("ij,ij->i", points, points)
+    return np.einsum("...j,...j->...", points, points)
 
 
 def pairwise_squared_distances(
@@ -85,20 +87,32 @@ def _squared_distances_into(
 ) -> np.ndarray:
     """Trusted core of :func:`pairwise_squared_distances`.
 
-    Takes 2-D float arrays of matching width and both row-norm vectors, and
-    checks nothing: the k-means layer calls it from loops whose inputs its
-    public entry already validated.  ``out`` is the ``(len(a), len(b))``
-    buffer to fill; ``None`` allocates one.
+    Takes a 2-D float array ``a``, a ``(m, d)`` array ``b`` or an
+    ``(r, m, d)`` stack of them, and their row norms (``(m,)`` or
+    ``(r, m)``), and checks nothing: the k-means layer calls it from loops
+    whose inputs its public entry already validated.  ``out`` is the
+    ``(len(a), m)`` or ``(r, len(a), m)`` buffer to fill; ``None`` allocates
+    one.
+
+    A stack is one ``np.matmul`` with ``a`` broadcast against it: numpy
+    runs each of its matrices through the same BLAS call, with the same
+    strides, as the 2-D product, so every slice ``[i]`` of a stacked result
+    is bit for bit the result for ``b[i]`` alone.  Never stack the centers
+    side by side into one 2-D ``b`` instead: a wider product goes to
+    another BLAS kernel (a one-column product goes to ``gemv``) and rounds
+    differently.
     """
     if out is None:
-        out = np.empty((a.shape[0], b.shape[0]), dtype=np.result_type(a, b))
+        out = np.empty(
+            b.shape[:-2] + (a.shape[0], b.shape[-2]), dtype=np.result_type(a, b)
+        )
     # In-place evaluation of |a|^2 - 2 a.b + |b|^2 inside the (possibly
     # caller-provided) buffer; the operation order matches the naive
     # expression bit for bit.
-    np.matmul(a, b.T, out=out)
+    np.matmul(a, b.swapaxes(-1, -2), out=out)
     out *= -2.0
     out += a_norms[:, None]
-    out += b_norms[None, :]
+    out += b_norms[..., None, :]
     np.maximum(out, 0.0, out=out)
     return out
 

@@ -115,7 +115,10 @@ def weighted_indices(
         # choice() validated this; a negative entry would make the CDF
         # non-monotonic and the binary search silently wrong.
         raise ValueError("probabilities must be non-negative")
-    return _inverse_cdf_draw(rng, probabilities, size)
+    # Accumulate in float64 regardless of input dtype (choice() casts p the
+    # same way), over the flattened array.
+    probabilities = probabilities.astype(np.float64, copy=False).ravel()
+    return _draw_from_cdf(rng, _normalized_cdf(probabilities), size)
 
 
 def weighted_index_from_scores(
@@ -137,34 +140,42 @@ def weighted_index_from_scores(
     return weighted_indices(rng, probabilities, size=size)
 
 
-def _draw_from_scores(
-    rng: np.random.Generator, scores: np.ndarray, size: Optional[int] = None
-):
-    """Trusted core of :func:`weighted_index_from_scores`.
+def _scores_cdf(scores: np.ndarray) -> np.ndarray:
+    """Trusted core of the CDF :func:`weighted_index_from_scores` searches.
 
-    ``scores`` must be a non-negative ``float64`` vector, as the k-means
-    layer's D² scores are by construction; the same float sequence as the
-    public function (normalize, cumulative sum, renormalize, search) without
-    its array conversion and sign scan.
+    ``scores`` must be non-negative ``float64``, as the k-means layer's D²
+    scores are by construction; the same float sequence as the public
+    function (normalize, cumulative sum, renormalize) without its array
+    conversion and sign scan.  :func:`_draw_from_cdf` then draws from it.
+
+    Works along the last axis: a ``(r, n)`` array gives one CDF per row,
+    each bit for bit the CDF of that row alone, as a row-wise ``sum`` and
+    ``cumsum`` run the same loops as on a vector and the rest is
+    elementwise.  k-means++ builds the CDFs of all its restarts' D² scores
+    in one call.
     """
-    return _inverse_cdf_draw(rng, scores / scores.sum(), size)
+    return _normalized_cdf(scores / scores.sum(-1, keepdims=True))
 
 
-def _inverse_cdf_draw(
-    rng: np.random.Generator, probabilities: np.ndarray, size: Optional[int]
-):
-    """One cumulative sum, a mass check, normalization and the
-    ``searchsorted`` draws: the shared body of the weighted samplers."""
-    # Accumulate in float64 regardless of input dtype (choice() casts p the
-    # same way); also keeps the in-place normalization below well-typed for
-    # integer score vectors.
-    cdf = probabilities.cumsum(dtype=np.float64)
-    total = cdf[-1]
+def _normalized_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """One cumulative sum of ``float64`` probabilities along the last axis,
+    a mass check per row, and normalization: the CDF the weighted samplers
+    search."""
+    cdf = probabilities.cumsum(-1)
+    totals = cdf[..., -1:]
     # A NaN or overflowed total (distances of extreme-magnitude points) must
     # raise, not feed the binary search a NaN CDF.
-    if not math.isfinite(total) or total <= 0:
-        raise ValueError("probabilities must contain positive mass")
-    cdf /= total
+    for total in totals.ravel().tolist():
+        if not 0 < total < math.inf:
+            raise ValueError("probabilities must contain positive mass")
+    return cdf / totals
+
+
+def _draw_from_cdf(
+    rng: np.random.Generator, cdf: np.ndarray, size: Optional[int] = None
+):
+    """One uniform (or ``size`` of them) from ``rng`` searched in a
+    normalized CDF: an ``int``, or an ``int64`` array of indices."""
     if size is None:
         return int(cdf.searchsorted(rng.random(), side="right"))
     idx = cdf.searchsorted(rng.random(int(size)), side="right")

@@ -6,6 +6,7 @@ exceptions; internal hot loops assume the checks have already run.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -42,9 +43,22 @@ def check_matrix(
             raise ValueError(
                 f"{name} must have at least {min_cols} column(s), got {arr.shape[1]}"
             )
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains NaN or infinite values")
     return arr
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of the float array is finite, without an
+    ``arr``-sized mask.
+
+    Any NaN or infinite entry makes the sum NaN or infinite, so a finite
+    sum clears the array in one pass.  A sum that is not finite is either a
+    bad entry or an overflow of finite entries (an all-``1e308`` matrix,
+    for which numpy warns about the overflow); only then does the
+    ``np.isfinite`` scan decide.
+    """
+    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
 
 
 def check_weights(
@@ -58,7 +72,7 @@ def check_weights(
         raise ValueError(f"{name} must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains NaN or infinite values")
     if np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")

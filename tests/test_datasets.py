@@ -84,7 +84,7 @@ def frozen_make_mnist_like(
         n=n,
         d=d,
         k_hint=n_prototypes,
-        notes="synthetic substitute for the MNIST training set (see DESIGN.md)",
+        notes="synthetic substitute for the MNIST training set (see the repro.datasets docstring)",
     )
     return points, spec
 
@@ -125,7 +125,7 @@ def frozen_make_neurips_like(
         n=n,
         d=d,
         k_hint=n_topics,
-        notes="synthetic substitute for the NeurIPS word-count matrix (see DESIGN.md)",
+        notes="synthetic substitute for the NeurIPS word-count matrix (see the repro.datasets docstring)",
     )
     return points, spec
 

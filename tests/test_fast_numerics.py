@@ -16,6 +16,7 @@ Three contracts are pinned here:
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,13 +31,14 @@ from repro.dr.jl import JLProjection
 from repro.kmeans.bicriteria import bicriteria_approximation
 from repro.kmeans.cost import (
     _BLOCK_ROWS,
+    _nearest_center_pass,
     assign_and_cost,
     assign_to_centers,
     cluster_means,
     weighted_kmeans_cost,
 )
 from repro.kmeans.lloyd import WeightedKMeans, _farthest_indices
-from repro.kmeans.seeding import d2_sampling, kmeans_plus_plus
+from repro.kmeans.seeding import _pick_distances, d2_sampling, kmeans_plus_plus
 from repro.stages.cr import UniformStage
 from repro.utils.linalg import (
     _ROW_MIN_MAX_CENTERS,
@@ -244,9 +246,10 @@ def reference_weighted_kmeans(points, k, weights=None, n_init=3,
     nearest-center pass sweeps the blocks through the public
     ``pairwise_squared_distances``, which computes each block's row norms
     itself; the means are one ``bincount`` per column.  Returns
-    ``(centers, labels, cost, iterations, converged, refills)`` of the best
-    restart, where ``refills`` counts the mean updates of all restarts that
-    re-seeded an empty cluster.
+    ``(centers, labels, cost, iterations, converged, refills, restarts)``:
+    the first five of the best restart, ``refills`` the number of mean
+    updates of all restarts that re-seeded an empty cluster, and
+    ``restarts`` each restart's ``(centers, cost, iterations)``.
     """
     points = check_matrix(points, "points")
     n, d = points.shape
@@ -263,7 +266,7 @@ def reference_weighted_kmeans(points, k, weights=None, n_init=3,
             d2[rows] = block[np.arange(block.shape[0]), labels[rows]]
         return labels, d2
 
-    best, refills = None, 0
+    best, refills, restarts = None, 0, []
     for rng in spawn_generators(as_generator(seed), n_init):
         size = min(k, n)
         centers = kmeans_plus_plus(points, size, weights=weights, seed=rng)
@@ -295,14 +298,17 @@ def reference_weighted_kmeans(points, k, weights=None, n_init=3,
             previous = cost
         if size < k:
             centers = np.vstack([centers, np.repeat(centers[[0]], k - size, axis=0)])
+        restarts.append((centers, cost, iteration))
         if best is None or cost < best[2]:
             best = (centers, labels, cost, iteration, converged)
-    return best + (refills,)
+    return best + (refills, restarts)
 
 
 def _parity_points(n, duplicate=False, d=5, layout=None):
     rng = np.random.default_rng(n)
-    if duplicate:
+    if duplicate == "pair":
+        points = rng.standard_normal((2, d))[np.arange(n) % 2]
+    elif duplicate:
         points = np.tile(rng.standard_normal((1, d)), (n, 1))
     else:
         points = rng.standard_normal((n, d))
@@ -377,6 +383,30 @@ SOLVER_CASES = [
     for w in (None, "zeros")
     for t in (1e-6, 0)
     for layout in ("float32", "fortran", "strided")
+] + [
+    # A single restart, and the 10 every live query runs.
+    dict(n=n, d=d, k=4, weights=w, tolerance=t, n_init=r)
+    for n in (32, 320, 1024)
+    for d in (8, 129)
+    for w in (None, "positive")
+    for t in (1e-6, 0)
+    for r in (1, 10)
+] + [
+    # Every point a copy of one of two rows: all 10 restarts reach cost 0
+    # exactly, each with its centers in the order of its own draws, so the
+    # winner is the first restart only under the first-strictly-lower rule.
+    dict(n=n, d=8, k=k, weights=w, tolerance=1e-6, duplicate="pair", n_init=10)
+    for n in (32, 320)
+    for k in (2, 3)
+    for w in (None, "positive")
+] + [
+    # tolerance=0 on overlapping clusters: the restarts converge at
+    # different iterations, so restarts leave the active set mid-fit.
+    dict(n=n, d=d, k=k, weights=w, tolerance=0, n_init=10, staggered=True)
+    for n in (320, 1024)
+    for d in (2, 8)
+    for k in (4, 7)
+    for w in (None, "positive")
 ]
 
 
@@ -441,12 +471,13 @@ class TestTrustedSolver:
         weights = _parity_weights(case["weights"], n)
         # Two restarts of at most 25 updates keep the multi-block cases short.
         n_init, max_iterations = (2, 25) if n > _BLOCK_ROWS else (3, 100)
+        n_init = case.get("n_init", n_init)
         for seed in (0, 1):
             result = WeightedKMeans(
                 k=k, n_init=n_init, max_iterations=max_iterations,
                 tolerance=tolerance, seed=seed,
             ).fit(points, weights)
-            centers, labels, cost, iterations, converged, refills = (
+            centers, labels, cost, iterations, converged, refills, restarts = (
                 reference_weighted_kmeans(
                     points, k, weights=weights, n_init=n_init,
                     max_iterations=max_iterations, tolerance=tolerance, seed=seed,
@@ -458,8 +489,39 @@ class TestTrustedSolver:
             assert result.cost == cost
             assert result.iterations == iterations
             assert result.converged == converged
-            if case.get("duplicate") and k > 1:
+            assert result.restarts == n_init
+            if case.get("duplicate") is True and k > 1:
                 assert refills > 0  # empty clusters were re-seeded
+            if case.get("duplicate") == "pair":
+                # An exact tie on cost between restarts with different
+                # centers: the winner rule decides the result.
+                assert {restart_cost for _, restart_cost, _ in restarts} == {0.0}
+                assert any(
+                    not np.array_equal(restart_centers, restarts[0][0])
+                    for restart_centers, _, _ in restarts
+                )
+            if case.get("staggered"):
+                assert len({its for _, _, its in restarts}) > 1
+
+    def test_fit_memory_is_a_fixed_multiple_of_the_input(self):
+        """One 10-restart fit at 20,000 × 50 peaks under four times its
+        input's bytes (2.8 times now), with no clock read.
+
+        The lockstep restarts share one stacked distance block, but each
+        restart's mean update stays its own ``bincount`` over an ``n × d``
+        index: one stacked over all restarts would need an ``R·n·d`` index,
+        ten times the input by itself.
+        """
+        points = np.random.default_rng(4).standard_normal((20_000, 50))
+        WeightedKMeans(k=10, n_init=10, seed=1).fit(points[:200])  # warm up
+        solver = WeightedKMeans(k=10, n_init=10, seed=0)
+        tracemalloc.start()
+        try:
+            solver.fit(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * points.nbytes, peak / points.nbytes
 
 
 ROW_MIN_WIDTHS = sorted({
@@ -528,6 +590,82 @@ class TestMinSquaredDistancesCore:
                     points, centers, point_norms, center_norms, buffers
                 )
                 np.testing.assert_array_equal(got, expected)
+
+
+STACK_LAYOUTS = ["c", "fortran", "strided", "float32"]
+#: Row counts up to two blocks of _BLOCK_ROWS (8192 and 808 rows at 9000).
+STACK_ROWS = (1, 2, 31, 320, 8192, 9000)
+
+
+class TestStackedProducts:
+    """A stacked product is bit for bit the per-restart 2-D products.
+
+    The solver's restarts run in lockstep: k-means++ updates the distances
+    of all ``R`` restarts with one product of the points against the
+    ``(R, d, 1)`` stack of their picks, and each block of the labelled
+    Lloyd pass is one product against the ``(R, d, k)`` stack of their
+    center sets.  numpy sends each matrix of a stack to the BLAS call, with
+    the strides, of the 2-D product; a 2-D ``(n, R)`` product of all picks,
+    or rows cut into other blocks, rounds differently.  The points reach
+    the products as the solver's entry passes them on: C, Fortran or
+    strided float64, or float32 promoted by ``check_matrix``.  CI runs this
+    class with one BLAS thread.
+    """
+
+    @pytest.mark.parametrize("d", [1, 8, 129])
+    @pytest.mark.parametrize("layout", STACK_LAYOUTS)
+    def test_center_stacks(self, d, layout):
+        rng = np.random.default_rng(d)
+        for n in STACK_ROWS:
+            points = check_matrix(_parity_points(n, d=d, layout=layout))
+            point_norms = squared_norms(points)
+            for restarts in (1, 3, 10):
+                for k in (1, 2, 4, 16):
+                    centers = rng.standard_normal((restarts, k, d))
+                    # Rows of the points too, so exact zeros reach the clamp.
+                    picked = rng.integers(0, n, (restarts, (k + 1) // 2))
+                    centers[:, ::2] = points[picked]
+                    center_norms = squared_norms(centers)
+                    product = np.matmul(points, centers.swapaxes(-1, -2))
+                    distances = _squared_distances_into(
+                        points, centers, point_norms, center_norms
+                    )
+                    labels, dists = _nearest_center_pass(points, point_norms, centers)
+                    for i in range(restarts):
+                        alone = centers[i].copy()
+                        alone_norms = squared_norms(alone)
+                        np.testing.assert_array_equal(product[i], points @ alone.T)
+                        np.testing.assert_array_equal(center_norms[i], alone_norms)
+                        np.testing.assert_array_equal(
+                            distances[i],
+                            _squared_distances_into(points, alone, point_norms, alone_norms),
+                        )
+                        alone_labels, alone_dists = _nearest_center_pass(
+                            points, point_norms, alone
+                        )
+                        np.testing.assert_array_equal(labels[i], alone_labels)
+                        np.testing.assert_array_equal(dists[i], alone_dists)
+
+    @pytest.mark.parametrize("d", [1, 8, 129])
+    @pytest.mark.parametrize("layout", STACK_LAYOUTS)
+    def test_pick_stacks(self, d, layout):
+        rng = np.random.default_rng(d)
+        for n in STACK_ROWS:
+            points = check_matrix(_parity_points(n, d=d, layout=layout))
+            point_norms = squared_norms(points)
+            for restarts in (1, 3, 10):
+                picks = rng.integers(0, n, restarts)
+                product = np.matmul(points, points[picks][:, :, None])
+                distances = _pick_distances(points, point_norms, picks)
+                for i, pick in enumerate(picks):
+                    alone = points[[pick]]
+                    np.testing.assert_array_equal(product[i], points @ alone.T)
+                    np.testing.assert_array_equal(
+                        distances[i],
+                        _squared_distances_into(
+                            points, alone, point_norms, point_norms[[pick]]
+                        ),
+                    )
 
 
 def count_validation_calls(fn, callers=None):

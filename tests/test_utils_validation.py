@@ -1,6 +1,7 @@
 """Tests for repro.utils.validation and the public entry points it guards."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,48 @@ class TestCheckWeights:
     def test_2d_raises(self):
         with pytest.raises(ValueError):
             check_weights(np.ones((2, 2)), 2)
+
+
+class TestFiniteCheck:
+    """Finiteness is one sum, and the ``np.isfinite`` scan runs only when
+    that sum is not finite: a bad entry, or finite entries that overflow."""
+
+    def test_overflowing_finite_entries_pass(self):
+        with np.errstate(over="ignore"):
+            assert check_matrix(np.full((6, 4), 1e308)).shape == (6, 4)
+            assert check_weights(np.full(6, 1e308), 6).shape == (6,)
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+        ids=["nan", "+inf", "-inf", "+inf-and--inf"],
+    )
+    def test_non_finite_entries_raise(self, bad):
+        points = np.ones((6, 4))
+        points[2, : len(bad)] = bad
+        weights = np.ones(6)
+        weights[1 : 1 + len(bad)] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(
+                ValueError, match="^points contains NaN or infinite values$"
+            ):
+                check_matrix(points)
+            with pytest.raises(
+                ValueError, match="^weights contains NaN or infinite values$"
+            ):
+                check_weights(weights, 6)
+
+    def test_check_matrix_allocates_no_mask(self):
+        """A 4096 × 784 check peaks below 1% of the array's bytes (an
+        ``np.isfinite`` mask alone is 12.5%), with no clock read."""
+        points = np.random.default_rng(0).standard_normal((4096, 784))
+        check_matrix(points)
+        tracemalloc.start()
+        try:
+            check_matrix(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * points.nbytes, peak
 
 
 class TestCheckPositiveInt:
