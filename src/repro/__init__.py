@@ -63,7 +63,7 @@ from repro.stages import (
     RawGatherStage,
 )
 from repro.cr import Coreset, FSSCoreset, SensitivitySampler, UniformCoreset
-from repro.dr import JLProjection, PCAProjection, jl_target_dimension
+from repro.dr import JLProjection, PCAProjection
 from repro.quantization import RoundingQuantizer, IdentityQuantizer
 from repro.kmeans import WeightedKMeans, kmeans_cost, weighted_kmeans_cost
 from repro.distributed import (
@@ -148,7 +148,6 @@ __all__ = [
     "UniformCoreset",
     "JLProjection",
     "PCAProjection",
-    "jl_target_dimension",
     "RoundingQuantizer",
     "IdentityQuantizer",
     "WeightedKMeans",

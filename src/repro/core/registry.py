@@ -43,7 +43,6 @@ from repro.distributed.conditions import (
     NETWORK_PRESETS,
     FaultPlan,
     NetworkCondition,
-    resolve_condition,
 )
 from repro.stages.cr import FSSStage, SensitivityStage, UniformStage
 from repro.stages.distributed import BKLWStage, RawGatherStage, SharedJLStage
@@ -542,11 +541,6 @@ def network_preset_names() -> List[str]:
     return sorted(NETWORK_PRESETS)
 
 
-def network_preset(name: str) -> NetworkCondition:
-    """Build a fresh :class:`NetworkCondition` from a registered preset."""
-    return resolve_condition(name)
-
-
 __all__ = [
     "PipelineSpec",
     "register_pipeline",
@@ -560,7 +554,6 @@ __all__ = [
     "is_streaming",
     "make_stage_pipeline",
     "network_preset_names",
-    "network_preset",
     "NETWORK_PRESETS",
     "NetworkCondition",
     "FaultPlan",

@@ -47,12 +47,11 @@ from repro.distributed.conditions import (
     resolve_condition,
 )
 from repro.distributed.network import SimulatedNetwork
-from repro.distributed.partition import partition_dataset
 from repro.quantization.rounding import RoundingQuantizer
 from repro.stages.base import Stage, StageContext
-from repro.stages.cr import resolve_coreset_size
 from repro.stages.dr import JLStage
 from repro.stages.qt import QuantizeStage
+from repro.stages.sizing import resolve_coreset_size
 from repro.streaming.server import StreamingServer
 from repro.streaming.source import StreamingSource
 from repro.topology.aggregator import AggregatorNode
@@ -225,19 +224,6 @@ class StreamingEngine(DistributedStagePipeline):
         return self._run_batches([
             _batches(s, self.batch_size, np.arange(s.shape[0])) for s in shards
         ])
-
-    def run_on_dataset(
-        self,
-        points: np.ndarray,
-        num_sources: int,
-        strategy: str = "random",
-        partition_seed: SeedLike = None,
-    ) -> StreamingReport:
-        """Convenience wrapper: partition ``points`` and stream the shards."""
-        points = check_matrix(points, "points")
-        seed = partition_seed if partition_seed is not None else derive_seed(self._rng)
-        indices = partition_dataset(points, num_sources, strategy=strategy, seed=seed)
-        return self.run([points[idx] for idx in indices])
 
     def run_streams(
         self, streams: Sequence[Iterable[np.ndarray]]

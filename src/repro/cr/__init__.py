@@ -11,15 +11,13 @@ distributed setting) and a uniform-sampling coreset as an ablation baseline.
 """
 
 from repro.cr.coreset import Coreset
-from repro.cr.sensitivity import SensitivitySampler, sensitivity_sample_size
-from repro.cr.fss import FSSCoreset, fss_coreset_size
+from repro.cr.sensitivity import SensitivitySampler
+from repro.cr.fss import FSSCoreset
 from repro.cr.uniform import UniformCoreset
 
 __all__ = [
     "Coreset",
     "SensitivitySampler",
-    "sensitivity_sample_size",
     "FSSCoreset",
-    "fss_coreset_size",
     "UniformCoreset",
 ]

@@ -101,17 +101,6 @@ class Coreset:
         """Coreset k-means cost (Eq. 4) for a candidate center set."""
         return weighted_kmeans_cost(self.points, centers, self.weights, self.shift)
 
-    def transform(self, reducer) -> "Coreset":
-        """Apply a DR map to the coreset points, keeping weights and Δ.
-
-        This is the ``S' <- π1(S)`` step of Algorithm 2 / Algorithm 3.
-        """
-        return Coreset(reducer.transform(self.points), self.weights.copy(), self.shift)
-
-    def quantize(self, quantizer) -> "Coreset":
-        """Quantize the coreset points, keeping weights and Δ (Section 6.2)."""
-        return Coreset(quantizer.quantize(self.points), self.weights.copy(), self.shift)
-
     def merged_with(self, other: "Coreset") -> "Coreset":
         """Union of two coresets (used by the server in the distributed
         setting to merge per-source coresets)."""
@@ -124,17 +113,6 @@ class Coreset:
             np.concatenate([self.weights, other.weights]),
             self.shift + other.shift,
         )
-
-    def scalars_to_transmit(self, include_weights: bool = True) -> int:
-        """Communication cost of sending this coreset, in scalars.
-
-        Each point contributes its ``dimension`` coordinates; each weight is
-        one scalar; Δ is one scalar.
-        """
-        scalars = self.size * self.dimension
-        if include_weights:
-            scalars += self.size
-        return scalars + 1  # the Δ term
 
     def empirical_distortion(
         self,

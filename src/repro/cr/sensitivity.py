@@ -15,7 +15,6 @@ relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,34 +23,7 @@ import numpy as np
 from repro.cr.coreset import Coreset
 from repro.kmeans.bicriteria import BicriteriaResult, bicriteria_approximation
 from repro.utils.random import SeedLike, as_generator, weighted_indices
-from repro.utils.validation import (
-    check_fraction,
-    check_matrix,
-    check_positive_int,
-    check_weights,
-)
-
-
-def sensitivity_sample_size(
-    k: int,
-    epsilon: float,
-    delta: float = 0.1,
-    constant: float = 10.0,
-) -> int:
-    """Theoretical ε-coreset size ``O(k³ log²k · log(1/δ) / ε⁴)`` (Thm 3.2).
-
-    The constant is configurable because the paper's literal constant
-    (Section 6.3 quotes ``C1 ≈ 54912·…/225``) produces coresets far larger
-    than the dataset at laptop scale; experiments in Section 7 tune sizes so
-    algorithms reach comparable empirical error, which we mirror by exposing
-    the knob.
-    """
-    k = check_positive_int(k, "k")
-    epsilon = check_fraction(epsilon, "epsilon")
-    delta = check_fraction(delta, "delta")
-    log_k = math.log(max(k, 2))
-    size = constant * (k**3) * (log_k**2) * math.log(1.0 / delta) / (epsilon**4)
-    return max(k + 1, int(math.ceil(size)))
+from repro.utils.validation import check_matrix, check_positive_int, check_weights
 
 
 @dataclass
@@ -71,9 +43,10 @@ class SensitivitySampler:
     k:
         Number of clusters the coreset must support.
     size:
-        Number of samples to draw (coreset cardinality).  Callers typically
-        derive it from :func:`sensitivity_sample_size` or tune it as in the
-        paper's experiments.
+        Number of samples to draw (coreset cardinality, capped at the
+        number of input points).  The theory's ``O(k³ log²k log(1/δ)/ε⁴)``
+        exceeds laptop-scale datasets, so callers tune it as the paper's
+        experiments do (:mod:`repro.stages.sizing`).
     seed:
         RNG seed or generator.
     """

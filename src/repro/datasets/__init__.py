@@ -15,7 +15,7 @@ from repro.datasets.synthetic import (
     DatasetSpec,
 )
 from repro.datasets.loaders import normalize_dataset, load_benchmark_dataset
-from repro.datasets.streams import batch_count, iter_batches, make_drifting_stream
+from repro.datasets.streams import iter_batches, make_drifting_stream
 
 __all__ = [
     "make_gaussian_mixture",
@@ -24,7 +24,6 @@ __all__ = [
     "DatasetSpec",
     "normalize_dataset",
     "load_benchmark_dataset",
-    "batch_count",
     "iter_batches",
     "make_drifting_stream",
 ]

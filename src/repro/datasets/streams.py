@@ -44,13 +44,6 @@ def _batches(
         yield points[order[start:start + batch_size]]
 
 
-def batch_count(n: int, batch_size: int) -> int:
-    """Number of batches :func:`iter_batches` yields for ``n`` rows."""
-    check_positive_int(n, "n")
-    check_positive_int(batch_size, "batch_size")
-    return -(-n // batch_size)
-
-
 def make_drifting_stream(
     num_batches: int,
     batch_size: int,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
 from repro.utils.random import generator_for_name
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_fraction, check_integer
 
 #: Node identifier of the edge server (the uplink receiver).
 SERVER_ID = "server"
@@ -235,7 +235,11 @@ class NetworkCondition:
         retries: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> "NetworkCondition":
-        """Return a copy with CLI-style scalar overrides applied."""
+        """Return a copy with CLI-style scalar overrides applied.
+
+        ``retries`` and ``seed`` must be integers: a float would be
+        truncated, a bool read as 0 or 1.
+        """
         condition = self
         if loss is not None:
             check_fraction(loss, "loss", low=0.0, inclusive_low=True)
@@ -248,9 +252,9 @@ class NetworkCondition:
                 },
             )
         if retries is not None:
-            condition = replace(condition, retries=int(retries))
+            condition = replace(condition, retries=check_integer(retries, "retries"))
         if seed is not None:
-            condition = replace(condition, seed=int(seed))
+            condition = replace(condition, seed=check_integer(seed, "seed"))
         return condition
 
 

@@ -9,16 +9,15 @@ Two families, mirroring Section 3.2 of the paper:
 * :class:`PCAProjection` — SVD-based projection onto the top singular
   subspace, used inside FSS / disPCA.  Unlike JL, its basis is data-dependent
   and must be shipped to the server, costing ``O(d * d')`` scalars.
+
+Both take their geometry (target dimension, rank) explicitly;
+:mod:`repro.stages.sizing` derives it.
 """
 
-from repro.dr.base import DimensionalityReducer
-from repro.dr.jl import JLProjection, jl_target_dimension
-from repro.dr.pca import PCAProjection, pca_target_dimension
+from repro.dr.jl import JLProjection
+from repro.dr.pca import PCAProjection
 
 __all__ = [
-    "DimensionalityReducer",
     "JLProjection",
-    "jl_target_dimension",
     "PCAProjection",
-    "pca_target_dimension",
 ]

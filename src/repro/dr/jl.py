@@ -25,54 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dr.base import DimensionalityReducer
 from repro.utils.linalg import moore_penrose_inverse
 from repro.utils.random import SeedLike, as_generator
-from repro.utils.validation import check_fraction, check_matrix, check_positive_int
+from repro.utils.validation import check_matrix, check_positive_int
 
 _ENSEMBLES = ("gaussian", "rademacher")
 
 
-def jl_target_dimension(
-    n: int,
-    k: int,
-    epsilon: float,
-    delta: float = 0.1,
-    constant: float = 8.0,
-    max_dimension: Optional[int] = None,
-) -> int:
-    """Target dimension ``d' = O(ε^{-2} log(nk/δ))`` from Lemma 4.1 / 4.2.
-
-    Parameters
-    ----------
-    n:
-        Cardinality of the point set whose pairwise point–center distances
-        must be preserved (the dataset size for Lemma 4.1, or the coreset
-        size for Lemma 4.2).
-    k:
-        Number of clustering centers.
-    epsilon:
-        Distortion parameter ε in (0, 1).
-    delta:
-        Failure probability δ in (0, 1).
-    constant:
-        The hidden constant; the paper's Section 6.3 uses
-        ``d' <= ceil(8 log(4 n' k / δ) / ε²)``, so the default is 8.
-    max_dimension:
-        Optional cap (never project *up*: callers pass the input dimension).
-    """
-    n = check_positive_int(n, "n")
-    k = check_positive_int(k, "k")
-    epsilon = check_fraction(epsilon, "epsilon")
-    delta = check_fraction(delta, "delta")
-    raw = constant * math.log(4.0 * n * k / delta) / (epsilon**2)
-    dimension = max(1, int(math.ceil(raw)))
-    if max_dimension is not None:
-        dimension = min(dimension, int(max_dimension))
-    return dimension
-
-
-class JLProjection(DimensionalityReducer):
+class JLProjection:
     """A concrete JL random projection with a reproducible matrix.
 
     Parameters
@@ -80,8 +40,8 @@ class JLProjection(DimensionalityReducer):
     input_dimension:
         Original dimension ``d``.
     output_dimension:
-        Target dimension ``d'`` (use :func:`jl_target_dimension` to derive it
-        from ``(n, k, ε, δ)``).
+        Target dimension ``d'`` (:mod:`repro.stages.sizing` derives it from
+        ``(n, k, ε, δ)``).
     seed:
         Seed shared between data source and server.  Two instances created
         with the same ``(input_dimension, output_dimension, seed, ensemble)``
@@ -115,29 +75,8 @@ class JLProjection(DimensionalityReducer):
         return signs.astype(float) * scale
 
     # ------------------------------------------------------------------ API
-    @property
-    def input_dimension(self) -> int:
-        return self._d
-
-    @property
-    def output_dimension(self) -> int:
-        return self._d_out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The projection matrix Π of shape ``(d, d')`` (read-only copy)."""
-        return self._matrix.copy()
-
-    @property
-    def ensemble(self) -> str:
-        return self._ensemble
-
-    @property
-    def transmitted_scalars(self) -> int:
-        """JL maps are data-oblivious: the server re-derives Π from the seed."""
-        return 0
-
     def transform(self, points: np.ndarray) -> np.ndarray:
+        """Apply the map to every row of ``points`` (shape ``(n, d)``)."""
         return self._project(check_matrix(points, "points", allow_empty=True))
 
     def _project(self, points: np.ndarray) -> np.ndarray:
@@ -150,6 +89,9 @@ class JLProjection(DimensionalityReducer):
         return points @ self._matrix
 
     def inverse_transform(self, points: np.ndarray) -> np.ndarray:
+        """Lift points from ``R^{d'}`` back to ``R^d`` through the
+        Moore–Penrose pseudo-inverse of Π: *an* inverse of the map, which is
+        not injective (Section 3.1)."""
         points = check_matrix(points, "points", allow_empty=True)
         if points.shape[1] != self._d_out:
             raise ValueError(

@@ -11,25 +11,15 @@ where the ``O(d k / ε²)`` communication term of FSS/BKLW comes from.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
-from repro.dr.base import DimensionalityReducer
 from repro.utils.linalg import right_svd
-from repro.utils.validation import check_fraction, check_matrix, check_positive_int
+from repro.utils.validation import check_matrix, check_positive_int
 
 
-def pca_target_dimension(k: int, epsilon: float) -> int:
-    """Rank ``t = k + ceil(4k/ε²) - 1`` required by Theorem 5.1 (and used by
-    FSS to bound the intrinsic dimension)."""
-    k = check_positive_int(k, "k")
-    epsilon = check_fraction(epsilon, "epsilon")
-    return k + int(math.ceil(4.0 * k / epsilon**2)) - 1
-
-
-class PCAProjection(DimensionalityReducer):
+class PCAProjection:
     """Projection onto the top-``rank`` right singular subspace of the data.
 
     Unlike :class:`~repro.dr.jl.JLProjection` this map is *data-dependent*:
@@ -44,26 +34,18 @@ class PCAProjection(DimensionalityReducer):
     def __init__(self, rank: int) -> None:
         self._rank = check_positive_int(rank, "rank")
         self._basis: Optional[np.ndarray] = None  # (d, rank)
-        self._singular_values: Optional[np.ndarray] = None
         self._d: Optional[int] = None
 
     # ------------------------------------------------------------------ API
     def fit(self, points: np.ndarray) -> "PCAProjection":
-        """Compute the top singular subspace of ``points``."""
+        """Compute the top singular subspace of ``points``, keeping at most
+        ``min(n, d)`` directions."""
         points = check_matrix(points, "points")
         self._d = points.shape[1]
         rank = min(self._rank, min(points.shape))
-        s, vt = right_svd(points)
+        _, vt = right_svd(points)
         self._basis = vt[:rank].T
-        self._singular_values = s[:rank]
         return self
-
-    def fit_transform(self, points: np.ndarray) -> np.ndarray:
-        return self.fit(points).transform(points)
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._basis is not None
 
     @property
     def basis(self) -> np.ndarray:
@@ -72,30 +54,10 @@ class PCAProjection(DimensionalityReducer):
         return self._basis.copy()
 
     @property
-    def singular_values(self) -> np.ndarray:
-        self._require_fitted()
-        return self._singular_values.copy()
-
-    @property
     def effective_rank(self) -> int:
         """Rank actually retained (may be below the requested rank)."""
         self._require_fitted()
         return int(self._basis.shape[1])
-
-    @property
-    def input_dimension(self) -> int:
-        self._require_fitted()
-        return int(self._d)
-
-    @property
-    def output_dimension(self) -> int:
-        return self.effective_rank
-
-    @property
-    def transmitted_scalars(self) -> int:
-        """Cost of shipping the basis V: ``d * rank`` scalars."""
-        self._require_fitted()
-        return int(self._d * self._basis.shape[1])
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Coordinates of the points in the principal subspace (``n × rank``)."""
@@ -106,17 +68,6 @@ class PCAProjection(DimensionalityReducer):
                 f"expected {self._d}-dimensional points, got {points.shape[1]}"
             )
         return points @ self._basis
-
-    def inverse_transform(self, points: np.ndarray) -> np.ndarray:
-        """Embed subspace coordinates back into ``R^d`` (``x -> x V^T``)."""
-        self._require_fitted()
-        points = check_matrix(points, "points", allow_empty=True)
-        if points.shape[1] != self._basis.shape[1]:
-            raise ValueError(
-                f"expected {self._basis.shape[1]}-dimensional points, "
-                f"got {points.shape[1]}"
-            )
-        return points @ self._basis.T
 
     def project_in_place(self, points: np.ndarray) -> np.ndarray:
         """The FSS-style projection ``A -> A V V^T`` (original coordinates).

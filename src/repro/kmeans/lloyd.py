@@ -162,7 +162,7 @@ class WeightedKMeans:
         # mean update, and the cost produced against the *updated* centers
         # drives the convergence test.  A converged restart leaves the
         # active set, its last labels and cost kept as its result.
-        labels, _ = _nearest_center_pass(points, point_norms, centers)
+        labels = _nearest_center_pass(points, point_norms, centers)[0]
         costs = [np.inf] * self.n_init
         iterations = [self.max_iterations] * self.n_init
         converged = [False] * self.n_init
@@ -197,6 +197,8 @@ class WeightedKMeans:
                     iterations[restart] = iteration
                 else:
                     still_active.append(restart)
+            # Free this pass's output before the next pass allocates its own.
+            del active_labels, dists, restart_dists
             active = still_active
             if not active:
                 break

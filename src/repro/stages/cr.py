@@ -15,20 +15,7 @@ from repro.cr.fss import FSSCoreset
 from repro.cr.sensitivity import SensitivitySampler
 from repro.cr.uniform import UniformCoreset
 from repro.stages.base import Stage, StageContext, StageEffect, SourceState
-from repro.stages.sizing import default_coreset_size, default_pca_rank
-from repro.utils.validation import check_positive_int
-
-
-def resolve_coreset_size(size: Optional[int], n: int, k: int) -> int:
-    """Coreset cardinality actually built for ``n`` input points: the explicit
-    ``size`` capped at ``n``, or the practical default.  Shared by the CR
-    stages and by the streaming engine's shape pinning."""
-    if size is not None:
-        return min(check_positive_int(size, "coreset_size"), n)
-    return default_coreset_size(n, k)
-
-
-_resolve_size = resolve_coreset_size
+from repro.stages.sizing import resolve_coreset_size, resolve_pca_rank
 
 
 class FSSStage(Stage):
@@ -53,19 +40,9 @@ class FSSStage(Stage):
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
         n, d = state.cardinality, state.dimension
-        size = _resolve_size(self.size, n, ctx.k)
-        if self.pca_rank is not None:
-            rank = min(check_positive_int(self.pca_rank, "pca_rank"), n, d)
-        else:
-            rank = default_pca_rank(n, d, ctx.k)
-        fss = FSSCoreset(
-            k=ctx.k,
-            epsilon=ctx.epsilon,
-            delta=ctx.delta,
-            size=size,
-            pca_rank=rank,
-            seed=ctx.derive_seed(),
-        )
+        size = resolve_coreset_size(self.size, n, ctx.k)
+        rank = resolve_pca_rank(self.pca_rank, n, d, ctx.k)
+        fss = FSSCoreset(ctx.k, size, rank, seed=ctx.derive_seed())
         built = fss.build(state.points, weights=state.weights)
         coreset = built.coreset
         return StageEffect(
@@ -99,7 +76,7 @@ class SensitivityStage(Stage):
         return ("SS", self.size)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        size = _resolve_size(self.size, state.cardinality, ctx.k)
+        size = resolve_coreset_size(self.size, state.cardinality, ctx.k)
         sampler = SensitivitySampler(k=ctx.k, size=size, seed=ctx.derive_seed())
         coreset = sampler.build(state.points, weights=state.weights, shift=state.shift)
         return StageEffect(
@@ -131,7 +108,7 @@ class UniformStage(Stage):
         return ("Uniform", self.size)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        size = _resolve_size(self.size, state.cardinality, ctx.k)
+        size = resolve_coreset_size(self.size, state.cardinality, ctx.k)
         sampler = UniformCoreset(size=size, seed=ctx.derive_seed())
         coreset = sampler.build(state.points, weights=state.weights, shift=state.shift)
         return StageEffect(

@@ -30,11 +30,15 @@ from repro.distributed.cluster import EdgeCluster
 from repro.distributed.dispca import run_dispca
 from repro.distributed.disss import run_disss
 from repro.distributed.network import deliver_round
-from repro.dr.jl import JLProjection, jl_target_dimension
+from repro.dr.jl import JLProjection
 from repro.stages.base import StageContext
-from repro.stages.sizing import default_distributed_samples, default_pca_rank
+from repro.stages.dr import jl_lift
+from repro.stages.sizing import (
+    resolve_distributed_samples,
+    resolve_jl_dimension,
+    resolve_pca_rank,
+)
 from repro.utils.parallel import parallel_map
-from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -111,24 +115,13 @@ class SharedJLStage(DistributedStage):
     def __init__(self, dimension: Optional[int] = None) -> None:
         self.dimension = dimension
 
-    def resolve_dimension(self, cluster: EdgeCluster, ctx: DistributedStageContext) -> int:
-        d = cluster.dimension
-        if self.dimension is not None:
-            return min(check_positive_int(self.dimension, "jl_dimension"), d)
-        return jl_target_dimension(
-            ctx.total_cardinality,
-            ctx.k,
-            min(ctx.epsilon, 0.999),
-            ctx.delta,
-            constant=1.0,
-            max_dimension=d,
-        )
-
     def apply_to_cluster(
         self, cluster: EdgeCluster, ctx: DistributedStageContext
     ) -> DistributedStageEffect:
         d = cluster.dimension
-        target = self.resolve_dimension(cluster, ctx)
+        target = resolve_jl_dimension(
+            self.dimension, ctx.total_cardinality, ctx.k, d, ctx.epsilon, ctx.delta
+        )
         seed = self.shared_seed
         projection = JLProjection(d, target, seed=seed)
         # Pure local compute (the projection matrix is pre-shared and every
@@ -141,12 +134,9 @@ class SharedJLStage(DistributedStage):
             cluster.network.participating(cluster.sources),
             ctx.jobs,
         )
-
-        def lift(centers):
-            server_projection = JLProjection(d, target, seed=seed)
-            return server_projection.inverse_transform(centers)
-
-        return DistributedStageEffect(lift=lift, details={"jl_dimension": float(target)})
+        return DistributedStageEffect(
+            lift=jl_lift(d, target, seed), details={"jl_dimension": float(target)}
+        )
 
 
 class BKLWStage(DistributedStage):
@@ -167,24 +157,13 @@ class BKLWStage(DistributedStage):
         self.pca_rank = pca_rank
         self.total_samples = total_samples
 
-    def resolve_rank(self, ctx: DistributedStageContext) -> int:
-        if self.pca_rank is not None:
-            return min(
-                check_positive_int(self.pca_rank, "pca_rank"),
-                ctx.original_dimension,
-                ctx.min_cardinality,
-            )
-        return default_pca_rank(ctx.min_cardinality, ctx.original_dimension, ctx.k)
-
-    def resolve_samples(self, ctx: DistributedStageContext) -> int:
-        if self.total_samples is not None:
-            return check_positive_int(self.total_samples, "total_samples")
-        return default_distributed_samples(ctx.num_sources, ctx.k)
-
     def apply_to_cluster(
         self, cluster: EdgeCluster, ctx: DistributedStageContext
     ) -> DistributedStageEffect:
-        rank, samples = self.resolve_rank(ctx), self.resolve_samples(ctx)
+        rank = resolve_pca_rank(
+            self.pca_rank, ctx.min_cardinality, ctx.original_dimension, ctx.k
+        )
+        samples = resolve_distributed_samples(self.total_samples, ctx.num_sources, ctx.k)
         dispca_scalars = run_dispca(cluster.sources, cluster.server, rank, ctx.jobs)
         disss = run_disss(
             cluster.sources, cluster.server, ctx.k, samples, ctx.quantizer, ctx.jobs

@@ -19,9 +19,20 @@ from typing import Optional
 
 from repro.dr.jl import JLProjection
 from repro.dr.pca import PCAProjection
-from repro.stages.base import Stage, StageContext, StageEffect, SourceState
-from repro.stages.sizing import default_jl_dimension, default_pca_rank
-from repro.utils.validation import check_positive_int
+from repro.stages.base import CenterLift, Stage, StageContext, StageEffect, SourceState
+from repro.stages.sizing import resolve_jl_dimension, resolve_pca_rank
+
+
+def jl_lift(input_dimension: int, output_dimension: int, seed: int) -> CenterLift:
+    """The server-side lift of a shared-seed JL map: the Moore–Penrose
+    pseudo-inverse of the matrix the server re-derives from ``(d, d',
+    seed)``, so no projection matrix is ever sent or persisted."""
+
+    def lift(centers):
+        server_projection = JLProjection(input_dimension, output_dimension, seed=seed)
+        return server_projection.inverse_transform(centers)
+
+    return lift
 
 
 class JLStage(Stage):
@@ -46,25 +57,15 @@ class JLStage(Stage):
         return ("JL", self.dimension)
 
     def rebuild_lift(self, input_dimension: int, output_dimension: int):
-        # The lift is a pure function of (d, d', shared seed): the server
-        # re-derives the identical map, so a cached application can rebuild
-        # it without ever persisting the projection matrix.
-        seed = self.shared_seed
-
-        def lift(centers):
-            server_projection = JLProjection(
-                input_dimension, output_dimension, seed=seed
-            )
-            return server_projection.inverse_transform(centers)
-
-        return lift
+        # The lift is a pure function of (d, d', shared seed), so a cached
+        # application can rebuild it.
+        return jl_lift(input_dimension, output_dimension, self.shared_seed)
 
     def resolve_dimension(self, state: SourceState, ctx: StageContext) -> int:
-        d = state.dimension
-        if self.dimension is not None:
-            return min(check_positive_int(self.dimension, "jl_dimension"), d)
         reference_n = state.cardinality if state.is_raw else max(state.cardinality, 2)
-        return default_jl_dimension(reference_n, ctx.k, d, ctx.epsilon, ctx.delta)
+        return resolve_jl_dimension(
+            self.dimension, reference_n, ctx.k, state.dimension, ctx.epsilon, ctx.delta
+        )
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
         d = state.dimension
@@ -98,14 +99,8 @@ class PCAStage(Stage):
     def fingerprint(self):
         return ("PCA", self.rank)
 
-    def resolve_rank(self, state: SourceState, ctx: StageContext) -> int:
-        n, d = state.cardinality, state.dimension
-        if self.rank is not None:
-            return min(check_positive_int(self.rank, "pca_rank"), n, d)
-        return default_pca_rank(n, d, ctx.k)
-
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        rank = self.resolve_rank(state, ctx)
+        rank = resolve_pca_rank(self.rank, state.cardinality, state.dimension, ctx.k)
         ctx.derive_seed()  # unused; every later seed sits on this draw
         pca = PCAProjection(rank=rank)
         pca.fit(state.points)

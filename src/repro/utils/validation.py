@@ -79,15 +79,20 @@ def check_weights(
     return arr
 
 
-def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
-    """Validate an integer parameter such as ``k`` or a sample size.
+def check_integer(value: int, name: str) -> int:
+    """Validate an integer parameter of any sign, such as a seed.
 
     ``bool`` is refused like ``float``: it subclasses ``int``, so without the
     explicit test ``k=True`` would silently run as ``k=1``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value)!r}")
-    value = int(value)
+    return int(value)
+
+
+def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
+    """Validate an integer parameter such as ``k`` or a sample size."""
+    value = check_integer(value, name)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
@@ -95,8 +100,14 @@ def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
 
 def check_fraction(value: float, name: str, low: float = 0.0, high: float = 1.0,
                    inclusive_low: bool = False, inclusive_high: bool = False) -> float:
-    """Validate a fraction-like parameter such as epsilon or delta."""
+    """Validate a fraction-like parameter such as epsilon or delta.
+
+    Text and booleans (Python or numpy) are refused like ``None``: ``float``
+    would parse ``"0.2"`` and read ``False`` as 0.0.
+    """
     try:
+        if isinstance(value, (str, bytes, bool, np.bool_)):
+            raise TypeError
         value = float(value)
     except TypeError:
         raise TypeError(f"{name} must be a real number, got {type(value)!r}") from None

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cr.coreset import Coreset, merge_coresets
-from repro.dr.jl import JLProjection
 from repro.kmeans.cost import weighted_kmeans_cost
-from repro.quantization.rounding import RoundingQuantizer
 
 
 def _simple_coreset():
@@ -53,23 +51,6 @@ class TestCoresetBasics:
 
 
 class TestCoresetTransformations:
-    def test_transform_applies_dr_and_keeps_weights(self):
-        c = _simple_coreset()
-        proj = JLProjection(2, 2, seed=0)
-        transformed = c.transform(proj)
-        assert transformed.size == c.size
-        assert np.allclose(transformed.weights, c.weights)
-        assert transformed.shift == c.shift
-        assert np.allclose(transformed.points, proj.transform(c.points))
-
-    def test_quantize_keeps_weights_and_shift(self):
-        c = _simple_coreset()
-        q = RoundingQuantizer(4)
-        quantized = c.quantize(q)
-        assert quantized.shift == c.shift
-        assert np.allclose(quantized.weights, c.weights)
-        assert np.allclose(quantized.points, q.quantize(c.points))
-
     def test_merge(self):
         a = _simple_coreset()
         b = Coreset(np.array([[5.0, 5.0]]), np.array([4.0]), shift=0.5)
@@ -142,12 +123,6 @@ class TestMergeComplexity:
 
 
 class TestCoresetAccounting:
-    def test_scalars_to_transmit(self):
-        c = _simple_coreset()
-        # 3 points x 2 dims + 3 weights + 1 shift
-        assert c.scalars_to_transmit() == 10
-        assert c.scalars_to_transmit(include_weights=False) == 7
-
     def test_empirical_distortion_zero_for_exact_copy(self, blob_points):
         c = Coreset(blob_points, np.ones(blob_points.shape[0]))
         centers = blob_points[:3]

@@ -3,24 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cr.sensitivity import SensitivitySampler, sensitivity_sample_size
+from repro.cr.sensitivity import SensitivitySampler
 from repro.kmeans.cost import kmeans_cost, weighted_kmeans_cost
 from repro.kmeans.lloyd import solve_reference_kmeans
-
-
-class TestSampleSize:
-    def test_grows_with_k_and_shrinks_with_epsilon(self):
-        assert sensitivity_sample_size(4, 0.2) > sensitivity_sample_size(2, 0.2)
-        assert sensitivity_sample_size(2, 0.1) > sensitivity_sample_size(2, 0.4)
-
-    def test_at_least_k_plus_one(self):
-        assert sensitivity_sample_size(5, 0.9, constant=1e-9) >= 6
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            sensitivity_sample_size(0, 0.2)
-        with pytest.raises(ValueError):
-            sensitivity_sample_size(2, 0.0)
 
 
 class TestSensitivityScores:

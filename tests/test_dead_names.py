@@ -6,8 +6,9 @@ class, whose name appears nowhere in the Python files of ``src/``,
 is defined has no caller: it is surface that every later change must keep
 working for nobody.  Names match as whole words, so a mention in a string
 (perfbench hooks entry points by name) or in a docstring counts; dunders and
-``_private`` names are skipped.  No linter is installed offline, so the
-check is a test.
+``_private`` names are skipped.  Listing a name in ``__all__`` or
+re-exporting it from an ``__init__.py`` does not call it, so neither counts.
+No linter is installed offline, so the check is a test.
 """
 
 import ast
@@ -35,6 +36,21 @@ def public_definitions(source):
                 if isinstance(item, functions)
             )
     return [(line, name) for line, name in found if not name.startswith("_")]
+
+
+def without_exports(source, is_package):
+    """``source`` with its ``__all__`` assignments blanked and, when it is a
+    package's ``__init__.py`` (``is_package``), its top-level imports."""
+    lines = source.splitlines(keepends=True)
+    for node in ast.parse(source).body:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        exports = any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+        reexports = is_package and isinstance(node, (ast.Import, ast.ImportFrom))
+        if exports or reexports:
+            lines[node.lineno - 1:node.end_lineno] = [""] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return "".join(lines)
 
 
 def dead_names(definitions, texts):
@@ -70,8 +86,22 @@ def test_detector_flags_only_names_defined_and_never_named_again():
     )
     definitions = [(f"m.py:{line}", name) for line, name in public_definitions(source)]
     callers = "used()\nKept().called()\nhook(Kept, 'hooked')\nunused_total = 0\n"
-    assert dead_names(definitions, [source, callers]) == [
+    # Exporting a name calls nothing: neither an ``__all__`` entry nor an
+    # ``__init__.py`` re-export counts, while a string mention still does.
+    package = (
+        "from m import (\n    unused,\n    orphan,\n)\n"
+        "import m as unused\n"
+        "__all__ = [\n    'unused',\n]\n"
+        "__all__ += ['Orphan']\n"
+    )
+    texts = [source, callers, without_exports(package, is_package=True)]
+    assert dead_names(definitions, texts) == [
         ("m.py:3", "unused"), ("m.py:13", "orphan"), ("m.py:17", "Orphan"),
+    ]
+    # A module that is not a package imports a name to call it.
+    module = without_exports("from m import unused\n__all__ = ['Orphan']\n", False)
+    assert dead_names(definitions, texts + [module]) == [
+        ("m.py:13", "orphan"), ("m.py:17", "Orphan"),
     ]
 
 
@@ -84,7 +114,7 @@ def test_every_public_name_is_named_outside_its_definition():
         for line, name in public_definitions(path.read_text(encoding="utf-8"))
     ]
     texts = [
-        path.read_text(encoding="utf-8")
+        without_exports(path.read_text(encoding="utf-8"), path.name == "__init__.py")
         for folder in SEARCHED
         for path in (REPO_ROOT / folder).rglob("*.py")
     ]

@@ -3,33 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.dr.jl import JLProjection, jl_target_dimension
+from repro.dr.jl import JLProjection
 from repro.kmeans.cost import kmeans_cost
+from repro.stages.sizing import default_jl_dimension
 
 
-class TestTargetDimension:
+class TestDefaultDimension:
+    """Lemma 4.1's ``ε⁻² log(4nk/δ)`` at constant 1, capped at ``d``."""
+
     def test_decreases_with_epsilon(self):
-        small = jl_target_dimension(1000, 5, epsilon=0.5)
-        large = jl_target_dimension(1000, 5, epsilon=0.1)
+        small = default_jl_dimension(1000, 5, 10**6, epsilon=0.5, delta=0.1)
+        large = default_jl_dimension(1000, 5, 10**6, epsilon=0.1, delta=0.1)
         assert large > small
 
     def test_grows_logarithmically_with_n(self):
-        d1 = jl_target_dimension(1000, 2, epsilon=0.2)
-        d2 = jl_target_dimension(1000000, 2, epsilon=0.2)
+        d1 = default_jl_dimension(1000, 2, 10**6, epsilon=0.2, delta=0.1)
+        d2 = default_jl_dimension(1000000, 2, 10**6, epsilon=0.2, delta=0.1)
         # Multiplying n by 1000 should add only an additive log term.
         assert d2 < d1 * 3
 
-    def test_max_dimension_cap(self):
-        assert jl_target_dimension(10**6, 10, 0.05, max_dimension=50) == 50
+    def test_input_dimension_cap(self):
+        assert default_jl_dimension(10**6, 10, 50, epsilon=0.05, delta=0.1) == 50
 
-    def test_at_least_one(self):
-        assert jl_target_dimension(2, 1, 0.9, delta=0.9, constant=0.001) >= 1
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            jl_target_dimension(0, 2, 0.2)
-        with pytest.raises(ValueError):
-            jl_target_dimension(10, 2, 1.5)
+    def test_formula(self):
+        # ⌈log(4·1000·2/0.1) / 0.2²⌉ = ⌈11.29 / 0.04⌉
+        assert default_jl_dimension(1000, 2, 10**6, epsilon=0.2, delta=0.1) == 283
 
 
 class TestJLProjection:
@@ -38,19 +36,15 @@ class TestJLProjection:
         out = proj.transform(high_dim_points)
         assert out.shape == (high_dim_points.shape[0], 20)
 
-    def test_data_oblivious_zero_communication(self):
-        proj = JLProjection(100, 10, seed=0)
-        assert proj.transmitted_scalars == 0
-
     def test_same_seed_same_matrix(self):
         a = JLProjection(50, 8, seed=123)
         b = JLProjection(50, 8, seed=123)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.transform(np.eye(50)), b.transform(np.eye(50)))
 
     def test_different_seed_different_matrix(self):
         a = JLProjection(50, 8, seed=1)
         b = JLProjection(50, 8, seed=2)
-        assert not np.array_equal(a.matrix, b.matrix)
+        assert not np.array_equal(a.transform(np.eye(50)), b.transform(np.eye(50)))
 
     def test_linearity(self, high_dim_points):
         proj = JLProjection(high_dim_points.shape[1], 15, seed=3)
@@ -84,7 +78,8 @@ class TestJLProjection:
 
     def test_rademacher_ensemble(self, high_dim_points):
         proj = JLProjection(high_dim_points.shape[1], 30, seed=0, ensemble="rademacher")
-        unique_entries = np.unique(np.round(np.abs(proj.matrix * np.sqrt(30)), 6))
+        matrix = proj.transform(np.eye(high_dim_points.shape[1]))
+        unique_entries = np.unique(np.round(np.abs(matrix * np.sqrt(30)), 6))
         assert np.allclose(unique_entries, [1.0])
         out = proj.transform(high_dim_points)
         assert out.shape == (high_dim_points.shape[0], 30)
@@ -109,7 +104,3 @@ class TestJLProjection:
             proj.transform(np.zeros((3, 21)))
         with pytest.raises(ValueError):
             proj.inverse_transform(np.zeros((3, 6)))
-
-    def test_describe_mentions_dimensions(self):
-        proj = JLProjection(20, 5, seed=0)
-        assert "20" in proj.describe() and "5" in proj.describe()

@@ -41,7 +41,7 @@ class TestDegenerateDatasets:
     def test_tiny_dataset_smaller_than_coreset(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((15, 8))
-        coreset = FSSCoreset(k=2, size=100, pca_rank=4, seed=0)(points)
+        coreset = FSSCoreset(k=2, size=100, pca_rank=4, seed=0).build(points).coreset
         assert coreset.size <= 15
 
     def test_one_dimensional_data(self):

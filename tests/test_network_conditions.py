@@ -91,6 +91,40 @@ class TestNetworkCondition:
         assert condition.retries == 4
         assert not condition.is_ideal
 
+    def test_with_overrides_accepts_numpy_integers(self):
+        condition = resolve_condition("lossy").with_overrides(
+            retries=np.int64(3), seed=np.int64(7)
+        )
+        assert (condition.retries, condition.seed) == (3, 7)
+        assert type(condition.retries) is int and type(condition.seed) is int
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"retries": 2.5}, "retries"),
+        ({"retries": True}, "retries"),
+        ({"retries": "2"}, "retries"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+    ])
+    def test_with_overrides_refuses_non_integers(self, overrides, name):
+        # int() would truncate 2.5 to 2 and read True as 1.
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            resolve_condition("lossy").with_overrides(**overrides)
+
+    def test_with_overrides_refuses_negative_retries(self):
+        with pytest.raises(ValueError, match="^retries must be non-negative"):
+            resolve_condition("lossy").with_overrides(retries=-1)
+
+    def test_with_overrides_refuses_boolean_loss(self):
+        with pytest.raises(TypeError, match="^loss must be a real number"):
+            resolve_condition("lossy").with_overrides(loss=False)
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"retries": 2.5}, "retries"), ({"network_seed": 1.5}, "seed"),
+    ])
+    def test_pipeline_refuses_fractional_overrides(self, overrides, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            registry.create_pipeline("bklw", k=2, network="lossy", **overrides)
+
     def test_heterogeneity_is_deterministic_per_node(self):
         condition = resolve_condition("edge-wan")
         a1, a2 = condition.link_for("source-3"), condition.link_for("source-3")

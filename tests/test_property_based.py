@@ -142,8 +142,9 @@ class TestJLProperties:
         d_out = min(d_out, d)
         a = JLProjection(d, d_out, seed=seed)
         b = JLProjection(d, d_out, seed=seed)
-        assert a.matrix.shape == (d, d_out)
-        assert np.array_equal(a.matrix, b.matrix)
+        matrix = a.transform(np.eye(d))
+        assert matrix.shape == (d, d_out)
+        assert np.array_equal(matrix, b.transform(np.eye(d)))
 
     @settings(max_examples=40, deadline=None)
     @given(matrices(max_rows=8, max_cols=10), st.integers(min_value=0, max_value=10**6))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.engine import StagePipeline, encode_for_wire
 from repro.cr.fss import FSSCoreset
+from repro.distributed.cluster import EdgeCluster
 from repro.stages import (
     FSSStage,
     JLStage,
@@ -16,6 +17,8 @@ from repro.stages import (
     UniformStage,
 )
 from repro.quantization.rounding import RoundingQuantizer
+from repro.stages.distributed import DistributedStageContext, SharedJLStage
+from repro.stages.sizing import default_jl_dimension, default_pca_rank
 from repro.utils.random import as_generator, derive_seed
 
 
@@ -106,6 +109,41 @@ class TestCRStages:
         ss_state = SensitivityStage(40).apply_at_source(pca_state, ctx).state
         assert ss_state.subspace is pca_state.subspace
         assert ss_state.shift >= pca_state.shift
+
+
+class TestDefaultGeometry:
+    """A stage given no size takes it from :mod:`repro.stages.sizing`."""
+
+    @pytest.mark.parametrize("n", [20, 400])
+    @pytest.mark.parametrize("d", [6, 300])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0 / 3.0])
+    def test_jl_stages_default_dimension(self, n, d, k, epsilon):
+        # d = 6 lies below the formula everywhere on the grid, so the cap binds.
+        points = np.random.default_rng(0).standard_normal((n, d))
+        expected = default_jl_dimension(n, k, d, epsilon, 0.1)
+        ctx = StageContext(k=k, epsilon=epsilon, delta=0.1, rng=as_generator(1))
+        single = _handshaken(JLStage(), ctx).apply_at_source(SourceState(points), ctx)
+        assert single.state.dimension == expected
+        shards = np.array_split(points, 2)
+        cluster_ctx = DistributedStageContext(
+            k=k, epsilon=epsilon, delta=0.1, rng=as_generator(1),
+            original_dimension=d, total_cardinality=n,
+            min_cardinality=shards[-1].shape[0], num_sources=2,
+        )
+        shared = _handshaken(SharedJLStage(), cluster_ctx).apply_to_cluster(
+            EdgeCluster.from_shards(shards, k=k, seed=0), cluster_ctx
+        )
+        assert shared.details["jl_dimension"] == expected
+
+    @pytest.mark.parametrize("stage_cls", [FSSStage, PCAStage])
+    @pytest.mark.parametrize("n, d, k", [(40, 4, 5), (5, 6, 5), (3, 4, 3)])
+    def test_rank_on_data_narrower_than_the_default(self, stage_cls, n, d, k):
+        assert default_pca_rank(n, d, k) == k + 2 > min(n, d)
+        points = np.random.default_rng(0).standard_normal((n, d))
+        ctx = StageContext(k=k, epsilon=0.2, delta=0.1, rng=as_generator(7))
+        state = stage_cls().apply_at_source(SourceState(points), ctx).state
+        assert state.subspace.effective_rank == min(n, d)
 
 
 class TestQuantizeStage:

@@ -183,6 +183,20 @@ class TestCheckFraction:
     def test_registry_drops_none_as_the_default(self):
         assert registry.create_pipeline("fss", k=2, epsilon=None).epsilon == 0.2
 
+    @pytest.mark.parametrize(
+        "value", ["0.2", "abc", b"0.2", False, True, np.bool_(True)],
+        ids=["numeric-str", "str", "bytes", "False", "True", "numpy-bool"],
+    )
+    def test_text_and_booleans_rejected(self, value):
+        # float() would parse "0.2" and read False as 0.0.
+        with pytest.raises(TypeError, match="^eps must be a real number"):
+            check_fraction(value, "eps")
+
+    @pytest.mark.parametrize("value", ["0.2", "abc", False])
+    def test_registry_names_text_and_booleans(self, value):
+        with pytest.raises(TypeError, match="^epsilon must be a real number"):
+            registry.create_pipeline("fss", k=2, epsilon=value)
+
 
 # Public entry points that take a point set, called as ``fn(points)`` or,
 # for the ones that take weights, ``fn(points, weights)``.
@@ -197,9 +211,9 @@ WEIGHTED_ENTRIES = {
     "SensitivitySampler.compute_sensitivities": lambda p, w=None: SensitivitySampler(
         k=3, size=8, seed=0
     ).compute_sensitivities(p, weights=w),
-    "FSSCoreset.build": lambda p, w=None: FSSCoreset(k=3, size=8, seed=0).build(
-        p, weights=w
-    ),
+    "FSSCoreset.build": lambda p, w=None: FSSCoreset(
+        k=3, size=8, pca_rank=4, seed=0
+    ).build(p, weights=w),
 }
 ENTRIES = dict(
     WEIGHTED_ENTRIES,
@@ -301,7 +315,7 @@ class TestPublicBoundary:
 
     @pytest.mark.parametrize("make", [
         lambda: bicriteria_approximation(_boundary_points(), True, seed=0),
-        lambda: FSSCoreset(k=True),
+        lambda: FSSCoreset(k=True, size=8, pca_rank=4),
         lambda: SensitivitySampler(k=True, size=8),
     ], ids=["bicriteria_approximation", "FSSCoreset", "SensitivitySampler"])
     def test_bool_k_rejected(self, make):
